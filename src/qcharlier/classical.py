@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .qkernels import MultiIndex
+from .qkernels import LatticePoly, MultiIndex
 
 
 @dataclass(frozen=True)
@@ -30,35 +30,6 @@ class ClassicalCharlierPoly:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _add(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _scale(a, c):
-    return _trim([c * v for v in a])
-
-
-def _shift(a, delta):
-    # compose with x -> x + delta
-    out = []
-    for c in reversed(a):
-        shifted = [0] * (len(out) + 1)
-        for i, v in enumerate(out):
-            shifted[i] += v * delta
-            shifted[i + 1] += v
-        shifted[0] += c
-        out = _trim(shifted)
-    return out
 
 
 def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> ClassicalCharlierPoly:
@@ -76,7 +47,8 @@ def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> Clas
     if tuple(counts) != index.parts:
         raise ValueError(f"path {list(path)} does not lead from 0 to {index.parts}")
 
-    table = {(0,) * len(index): [Fraction(1) if isinstance(alphas[0], Fraction) else 1.0]}
+    one = Fraction(1) if isinstance(alphas[0], Fraction) else 1.0
+    table = {(0,) * len(index): LatticePoly.monomial((one,))}
 
     def get(parts):
         if parts not in table:
@@ -90,13 +62,12 @@ def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> Clas
     def _step(prev_parts, k):
         prev = get(prev_parts)
         weight = sum(prev_parts)
-        b = alphas[k] + weight
-        out = _add([0] + list(prev), _scale(prev, -b))
+        out = prev.times_x() - prev.scale(alphas[k] + weight)
         for i, pi in enumerate(prev_parts):
             if pi > 0:
                 down = list(prev_parts)
                 down[i] -= 1
-                out = _add(out, _scale(get(tuple(down)), -alphas[i] * pi))
+                out = out - get(tuple(down)).scale(alphas[i] * pi)
         return out
 
     current = (0,) * len(index)
@@ -105,31 +76,29 @@ def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> Clas
         nxt[k] += 1
         table[tuple(nxt)] = _step(current, k)
         current = tuple(nxt)
-    return ClassicalCharlierPoly(index=index, alphas=alphas, coeffs=tuple(table[index.parts]))
+    return ClassicalCharlierPoly(index=index, alphas=alphas, coeffs=table[index.parts].coeffs)
 
 
 def classical_diffeq_residual(index, alphas):
     """Residual of the classical (r+1)-order identity (zero expected; the
     zero multi-index is degenerate and returns zero trivially)."""
     index = MultiIndex.coerce(index)
-    poly = classical_build(index, alphas)
-    coeffs = list(poly.coeffs)
+    poly = LatticePoly.monomial(classical_build(index, alphas).coeffs)
 
-    def lower_op(a, alpha):
+    def lower_op(p, alpha):
         # alpha f(x) - x f(x-1)
-        return _add(_scale(a, alpha), _scale([0] + _shift(a, -1), -1))
+        return p.scale(alpha) - p.compose_affine(1, -1).times_x()
 
-    forward = _add(_shift(coeffs, 1), _scale(coeffs, -1))
-    lhs = forward
+    lhs = poly.compose_affine(1, 1) - poly
     for alpha in alphas:
         lhs = lower_op(lhs, alpha)
     residual = lhs
     for i, ni in enumerate(index):
         if ni == 0:
             continue
-        term = coeffs
+        term = poly
         for j, alpha in enumerate(alphas):
             if j != i:
                 term = lower_op(term, alpha)
-        residual = _add(residual, _scale(term, ni))
-    return residual
+        residual = residual + term.scale(ni)
+    return list(residual.coeffs)

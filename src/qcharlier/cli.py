@@ -118,15 +118,6 @@ def _emit(document) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _context_json(ctx: QContext) -> dict:
-    return {
-        "t": format_scalar(ctx.t),
-        "q": format_scalar(ctx.q),
-        "alphas": [format_scalar(a) for a in ctx.alphas],
-        "backend": "exact" if ctx.exact else "approx",
-    }
-
-
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------

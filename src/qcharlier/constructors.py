@@ -65,9 +65,6 @@ class QCharlierPoly:
     def degree(self) -> int:
         return self.poly.degree
 
-    def falling_coefficients(self):
-        return to_falling_basis(self.poly, self.ctx).coeffs
-
 
 class ConstructionError(RuntimeError):
     """A construction invariant (monicity, solvability, base bookkeeping) failed."""
@@ -117,27 +114,16 @@ def _linear_system_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
             row = []
             for j in range(n):
                 unit = LatticePoly.falling((ctx.zero(),) * j + (ctx.one(),))
-                row.append(_falling_pairing(unit, k, i, ctx))
+                row.append(moment_pairing(unit, k, i, ctx))
             top = LatticePoly.falling((ctx.zero(),) * n + (lead,))
             rows.append(row)
-            rhs.append(-_falling_pairing(top, k, i, ctx))
+            rhs.append(-moment_pairing(top, k, i, ctx))
     solution = _solve(rows, rhs, ctx)
     fall = LatticePoly.falling(tuple(solution) + (lead,))
     poly = from_falling_basis(fall, ctx)
     if ctx.exact and (poly.degree != n or poly.leading != 1):
         raise ConstructionError(f"solution for {index.parts} is not monic of degree {n}")
     return poly
-
-
-def _falling_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
-    fall = falling_mul_falling(p, k, ctx)
-    nu = ctx.one()
-    base = ctx.alphas[i] * ctx.q
-    total = ctx.zero()
-    for c in fall.coeffs:
-        total += c * nu
-        nu *= base
-    return total
 
 
 def _solve(rows, rhs, ctx: QContext):

@@ -71,19 +71,11 @@ class WeightedLatticeFn:
 
 def shift_poly(p: LatticePoly, direction: int, ctx: QContext) -> LatticePoly:
     """Compose with the lattice shift: s+1 maps X to qX+1, s-1 to (X-1)/q."""
-    if p.basis != MONOMIAL:
-        raise ValueError("shift_poly expects the monomial basis")
     if direction == 1:
-        u, v = ctx.q, ctx.one()
-    elif direction == -1:
-        u, v = 1 / ctx.q, -1 / ctx.q
-    else:
-        raise ValueError("direction must be +1 or -1")
-    out = LatticePoly.zero()
-    affine = LatticePoly.monomial((v, u))
-    for c in reversed(p.coeffs):
-        out = out * affine + LatticePoly.monomial((c,))
-    return out
+        return p.compose_affine(ctx.q, ctx.one())
+    if direction == -1:
+        return p.compose_affine(1 / ctx.q, -1 / ctx.q)
+    raise ValueError("direction must be +1 or -1")
 
 
 def shift_fn(f: WeightedLatticeFn, direction: int, ctx: QContext) -> WeightedLatticeFn:
@@ -101,13 +93,8 @@ def shift_fn(f: WeightedLatticeFn, direction: int, ctx: QContext) -> WeightedLat
 
 def nabla(f: WeightedLatticeFn, ctx: QContext) -> WeightedLatticeFn:
     """Covariant backward difference (f(s) - f(s-1)) / q^(s-1/2)."""
-    c = f.base
-    back = shift_poly(f.poly, -1, ctx)
-    if f.factorial_denominator:
-        newp = (f.poly - back.times_x().scale(1 / c)).scale(ctx.t)
-    else:
-        newp = (f.poly.scale(c) - back).scale(ctx.t / c)
-    return WeightedLatticeFn(c / ctx.q, newp, f.factorial_denominator)
+    newp = (f.poly - shift_fn(f, -1, ctx).poly).scale(ctx.t)
+    return WeightedLatticeFn(f.base / ctx.q, newp, f.factorial_denominator)
 
 
 def delta_cov(p: LatticePoly, ctx: QContext) -> LatticePoly:

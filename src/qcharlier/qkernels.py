@@ -3,9 +3,9 @@
 Everything here is generic over the scalar backend carried by `QContext`:
 exact contexts hold `Fraction` values of t (with q = t**2 so that the
 half-integer lattice powers q**(1/2) stay inside the rational field), while
-approximate contexts hold floats.  The module provides q-integers,
-q-factorials, q-Pochhammer symbols, Gaussian binomials, the numeric q-Gamma
-function, the discrete weights, and the degree-triangular change of basis
+approximate contexts hold floats.  The module provides the one polynomial
+type of the package (`LatticePoly`), q-integers, q-factorials, Gaussian
+binomials, the discrete weights, and the degree-triangular change of basis
 between monomials in X = x(s) and the falling-factorial polynomials
 [s]^(k) = x(s) x(s-1) ... x(s-k+1).
 """
@@ -16,18 +16,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .scalars import Scalar, parse_scalar
 
 MONOMIAL = "monomial_x"
 FALLING = "falling_factorial"
-
-#: range of integer exponents k probed by the alpha_i/alpha_j != q^k guard
-RATIO_GUARD_RANGE = 64
-
-#: relative tolerance of the numeric q-Gamma evaluation
-GAMMA_TOLERANCE = 1e-12
 
 
 class ValidationError(ValueError):
@@ -36,6 +30,14 @@ class ValidationError(ValueError):
     def __init__(self, guard: str, message: str):
         super().__init__(f"{guard}: {message}")
         self.guard = guard
+
+
+def _log(x: Scalar) -> float:
+    """Natural logarithm of a positive scalar; a rational is split into
+    numerator and denominator so that no float overflow or underflow occurs."""
+    if isinstance(x, Fraction):
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,27 @@ class QContext:
                     "distinctness", f"alpha_{i + 1} == alpha_{j + 1} == {self.alphas[i]}"
                 )
         for i, j in itertools.combinations(range(self.r), 2):
-            ratio = self.alphas[i] / self.alphas[j]
-            power = self.q ** (-RATIO_GUARD_RANGE)
-            for k in range(-RATIO_GUARD_RANGE, RATIO_GUARD_RANGE + 1):
-                if ratio == power:
-                    raise ValidationError(
-                        "ratio",
-                        f"alpha_{i + 1}/alpha_{j + 1} equals q**{k}",
-                    )
-                power = power * self.q
+            k = self._q_exponent(self.alphas[i] / self.alphas[j])
+            if k is not None:
+                raise ValidationError("ratio", f"alpha_{i + 1}/alpha_{j + 1} equals q**{k}")
+
+    def _q_exponent(self, ratio: Scalar) -> Optional[int]:
+        """The integer k with ratio == q**k, or None.
+
+        Logarithms place k within one of the nearest integer; equality then
+        decides exactly.  A rational q**k with k != 0 has a numerator or
+        denominator of at least 2**|k|, so no larger exponent can match and
+        no such power is built.
+        """
+        estimate = round(_log(ratio) / _log(self.q))
+        bound = (
+            max(ratio.numerator, ratio.denominator).bit_length()
+            if isinstance(ratio, Fraction) else math.inf
+        )
+        for k in (estimate - 1, estimate, estimate + 1):
+            if abs(k) <= bound and ratio == self.q ** k:
+                return k
+        return None
 
     def require_convergent_measures(self) -> None:
         """Guard for operations that sum the weights as infinite series.
@@ -286,6 +300,20 @@ class LatticePoly:
             raise ValueError("times_x only defined in the monomial basis")
         return LatticePoly(MONOMIAL, (0,) + self.coeffs)
 
+    def compose_affine(self, u: Scalar, v: Scalar) -> "LatticePoly":
+        """P(uX + v), by Horner's rule in the monomial basis."""
+        if self.basis != MONOMIAL:
+            raise ValueError("compose_affine only defined in the monomial basis")
+        out = []
+        for c in reversed(self.coeffs):
+            step = [0] * (len(out) + 1)
+            for k, a in enumerate(out):
+                step[k] += a * v
+                step[k + 1] += a * u
+            step[0] += c
+            out = LatticePoly(MONOMIAL, step).coeffs
+        return LatticePoly(MONOMIAL, out)
+
     def evaluate(self, x: Scalar) -> Scalar:
         if self.basis != MONOMIAL:
             raise ValueError("evaluation only defined in the monomial basis")
@@ -323,18 +351,6 @@ def q_falling_number(n: int, k: int, ctx: QContext) -> Scalar:
     out = ctx.one()
     for j in range(k):
         out *= x_of(n - j, ctx)
-    return out
-
-
-def q_pochhammer(a: Scalar, k: int, ctx: QContext) -> Scalar:
-    """(a; q)_k = prod_{j=0}^{k-1} (1 - a q^j)."""
-    if k < 0:
-        raise ValueError("q-Pochhammer needs a nonnegative order")
-    out = ctx.one()
-    power = ctx.one()
-    for _ in range(k):
-        out *= 1 - a * power
-        power *= ctx.q
     return out
 
 
@@ -422,16 +438,18 @@ def from_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
 
 
 # ---------------------------------------------------------------------------
-# weights and the numeric q-Gamma
+# weights
 # ---------------------------------------------------------------------------
 
-def weight_eval(i: int, s: int, ctx: QContext) -> Scalar:
-    """Discrete weight mass at integer s >= 0 for the i-th measure:
-    alpha_i^s * q^(s - 1/2) / [s]_q!."""
-    if s < 0:
-        raise ValueError("weights live on nonnegative integers")
-    a = ctx.alphas[i]
-    return a ** s * ctx.q ** s / ctx.t / q_factorial(s, ctx)
+def weight_masses(i: int, ctx: QContext) -> Iterator[Scalar]:
+    """Discrete weight masses w_i(0), w_i(1), ... of the i-th measure, where
+    w_i(s) = alpha_i^s * q^(s - 1/2) / [s]_q!, streamed through the term
+    ratio w(s+1) = w(s) * alpha_i * q / [s+1]_q (an endless generator)."""
+    step = ctx.alphas[i] * ctx.q
+    mass = 1 / ctx.t
+    for s in itertools.count(1):
+        yield mass
+        mass = mass * step / q_number(s, ctx)
 
 
 def weight_partial_sums(i: int, m: int, ctx: QContext, tail_bound: float = 1e-14):
@@ -466,34 +484,3 @@ def weight_partial_sums(i: int, m: int, ctx: QContext, tail_bound: float = 1e-14
         if s > 100_000:
             raise RuntimeError("weight series failed to reach the tail bound")
     return total_m, total_0
-
-
-def q_gamma_numeric(s: float, ctx: QContext) -> float:
-    """Numeric q-Gamma at real s (approximate backend).
-
-    For 0 < q < 1 evaluates the infinite-product form truncated when the
-    running factor is within GAMMA_TOLERANCE/10 of 1; for q > 1 uses the
-    reflection to base 1/q with the q-power prefactor.  Poles at s = 0, -1,
-    -2, ... are rejected.
-    """
-    q = float(ctx.q)
-    if s <= 0 and float(s).is_integer():
-        raise ValueError(f"q-Gamma pole at s = {s}")
-    if q > 1:
-        inv = 1.0 / q
-        return q ** ((s - 1) * (s - 2) / 2.0) * _q_gamma_product(s, inv)
-    return _q_gamma_product(s, q)
-
-
-def _q_gamma_product(s: float, q: float) -> float:
-    out = (1 - q) ** (1 - s)
-    k = 0
-    while True:
-        factor = (1 - q ** (k + 1)) / (1 - q ** (s + k))
-        out *= factor
-        if abs(factor - 1) < GAMMA_TOLERANCE / 10:
-            break
-        k += 1
-        if k > 10_000_000:
-            raise RuntimeError("q-Gamma product did not converge")
-    return out

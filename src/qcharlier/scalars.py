@@ -2,9 +2,11 @@
 
 The exact backend stores every number as a `fractions.Fraction` (arbitrary
 precision, canonical lowest terms, positive denominator).  The approximate
-backend is the plain Python float.  Higher modules do arithmetic through the
-ordinary operators, so both backends are interchangeable wherever an
-operation makes sense for each; values are immutable and thread-safe.
+backend is the plain Python float.  Higher modules do arithmetic, powers and
+comparisons through the ordinary operators, so both backends are
+interchangeable wherever an operation makes sense for each; values are
+immutable and thread-safe.  This module only parses rational literals and
+formats scalars canonically for output.
 """
 
 from __future__ import annotations
@@ -34,22 +36,3 @@ def format_scalar(value: Scalar) -> str:
         return f"{value.numerator}/{value.denominator}"
     return format(float(value), ".17g")
 
-
-def scalar_pow(a: Scalar, k: int) -> Scalar:
-    """a**k for integer k; negative k requires a nonzero base."""
-    if k < 0 and a == 0:
-        raise ZeroDivisionError("zero base with negative exponent")
-    return a ** k
-
-
-def scalar_cmp(a: Scalar, b: Scalar) -> int:
-    """Total order: -1, 0, or 1."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
-def as_float(a: Scalar) -> float:
-    return float(a)

@@ -85,15 +85,31 @@ def _scan_grid(upper: float, points: int):
 
 
 def find_positive_roots(coeffs, expected: int, min_gap: float = MIN_GAP) -> list:
-    """All `expected` simple roots in (0, oo) to absolute tolerance 1e-10.
+    """All `expected` simple roots in (0, oo) of the polynomial with these
+    float coefficients.
 
-    Asserts the count, positivity, and a minimum pairwise gap (default 1e-8,
-    which the families at desk scale satisfy with a wide margin)."""
+    Bisection stops at a bracket width of 1e-10, but that bounds the error
+    only against the float coefficients.  Against an exact polynomial whose
+    coefficients were rounded to floats, the larger roots drift much
+    further: by up to 6e-5 at n = (12), q = 0.74, alpha = 0.35, and by 1e-5
+    at n = (6, 6), q = 0.74, alpha = (0.35, 0.55).
+
+    Fails at once, by Descartes' rule of signs, when the coefficients have
+    fewer sign variations than `expected`.  Asserts the count, positivity,
+    and a minimum pairwise gap (default 1e-8, which the families at desk
+    scale satisfy with a wide margin)."""
     coeffs = [float(c) for c in coeffs]
     if expected == 0:
         return []
     if len(coeffs) - 1 != expected:
         raise ValueError(f"degree {len(coeffs) - 1} polynomial cannot have {expected} roots")
+    signs = [c > 0 for c in coeffs if c != 0]
+    variations = sum(a != b for a, b in zip(signs, signs[1:]))
+    if variations < expected:
+        raise RootCountError(
+            f"{variations} coefficient sign variations bound the positive roots "
+            f"(Descartes' rule of signs), fewer than the {expected} expected"
+        )
     upper = root_upper_bound(coeffs)
     points = 128 * expected
     while True:

@@ -17,7 +17,13 @@ from qcharlier import (
     rodrigues_constant,
 )
 from qcharlier.constructors import moment_pairing
-from qcharlier.qkernels import weight_partial_sums
+from qcharlier.qkernels import (
+    q_falling_number,
+    to_falling_basis,
+    weight_masses,
+    weight_partial_sums,
+    x_of,
+)
 
 
 def test_rodrigues_constant_examples(ctx2, q2):
@@ -68,10 +74,9 @@ def test_monic_of_exact_degree(ctx3):
         assert poly.leading == 1
 
 
-def test_falling_coefficients_accessor(ctx2, q2):
+def test_leading_falling_coefficient(ctx2, q2):
     # leading falling coefficient of a monic degree-N polynomial is q^(N(N-1)/2)
-    result = build_linear_system((2, 0), ctx2)
-    fall = result.falling_coefficients()
+    fall = to_falling_basis(build_linear_system((2, 0), ctx2).poly, ctx2).coeffs
     assert fall[-1] == q2
     assert len(fall) == 3
 
@@ -125,15 +130,13 @@ def test_moment_pairing_by_series(ctx2):
     # Lambda_i(C * [s]^(k)) for the unit-index polynomial vs direct sums:
     # the pairing is the normalized value, so compare against the series
     # ratio (sum C*[s]^(k) w) / (sum w)
-    from qcharlier.qkernels import weight_eval, x_of, q_falling_number
-
     poly = build_linear_system((1, 0), ctx2).poly
     for i in range(2):
+        masses = [float(w) for w in itertools.islice(weight_masses(i, ctx2), 250)]
         for k in range(3):
             series = 0.0
             wsum = 0.0
-            for s in range(250):
-                w = float(weight_eval(i, s, ctx2))
+            for s, w in enumerate(masses):
                 series += float(poly.evaluate(x_of(s, ctx2))) * float(
                     q_falling_number(s, k, ctx2)
                 ) * w

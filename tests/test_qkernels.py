@@ -1,5 +1,6 @@
 """q-primitives, lattice values, basis conversions, weights, and the guards."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,9 @@ from qcharlier.qkernels import (
     from_falling_basis,
     q_binomial,
     q_factorial,
-    q_gamma_numeric,
     q_number,
-    q_pochhammer,
     to_falling_basis,
-    weight_eval,
+    weight_masses,
     weight_partial_sums,
     x_of,
 )
@@ -57,6 +56,16 @@ def test_context_guards(t, alphas, guard):
     with pytest.raises(ValidationError) as err:
         QContext.from_t(t, alphas)
     assert err.value.guard == guard
+
+
+def test_ratio_guard_is_exact_beyond_small_exponents():
+    # alpha1/alpha2 = 4**65 = q**-65 at q = 1/4
+    with pytest.raises(ValidationError) as err:
+        QContext.from_t("1/2", [Fraction(1, 2), Fraction(1, 2) * Fraction(1, 4) ** 65])
+    assert err.value.guard == "ratio"
+    assert "q**-65" in str(err.value)
+    # a near miss stays admissible
+    QContext.from_t("1/2", [Fraction(1, 2), Fraction(1, 2) * Fraction(1, 4) ** 65 * Fraction(3, 2)])
 
 
 def test_convergence_guard():
@@ -105,18 +114,6 @@ def test_q_factorial(ctx2, q2):
     assert q_factorial(3, ctx2) == Fraction(181, 100) * Fraction(24661, 10000)
     with pytest.raises(ValueError):
         q_factorial(-1, ctx2)
-
-
-def test_q_pochhammer():
-    desk = QContext.from_t("9/10", ["1/2"])
-    assert q_pochhammer(Fraction(7, 3), 0, desk) == 1
-    assert q_pochhammer(desk.q, 1, desk) == 1 - desk.q
-    # (q^-2; q)_2 at q = 1/2: (1-4)(1-2) = 3 (floats represent this exactly)
-    ctx_half = QContext.from_q_float(0.5, [0.5])
-    assert q_pochhammer(ctx_half.q ** -2, 2, ctx_half) == 3.0
-    # same product at q = 1/4 (t = 1/2 stays rational): (1-16)(1-4) = 45
-    quarter = QContext.from_t("1/2", ["1/2"])
-    assert q_pochhammer(quarter.q ** -2, 2, quarter) == 45
 
 
 def test_q_binomial(ctx2, q2):
@@ -207,23 +204,24 @@ def test_falling_mul_x_rewrite(ctx2, q2):
 
 
 # ---------------------------------------------------------------------------
-# weights and the numeric gamma
+# weights
 # ---------------------------------------------------------------------------
 
 def test_weight_eval(ctx2):
     t = ctx2.t
     a = ctx2.alphas[0]
-    assert weight_eval(0, 0, ctx2) == 1 / t
-    assert weight_eval(0, 1, ctx2) == a * t
+    masses = list(itertools.islice(weight_masses(0, ctx2), 82))
+    # closed form alpha^s q^(s - 1/2) / [s]_q!
     for s in range(6):
-        ratio = weight_eval(0, s + 1, ctx2) / weight_eval(0, s, ctx2)
-        assert ratio == a * ctx2.q / q_number(s + 1, ctx2)
+        assert masses[s] == a ** s * ctx2.q ** s / t / q_factorial(s, ctx2)
+    assert masses[0] == 1 / t
+    assert masses[1] == a * t
     # the term ratio tends to alpha*q*(1-q), the geometric rate behind the
     # convergence guard
     limit = a * ctx2.q * (1 - ctx2.q)
-    far = weight_eval(0, 41, ctx2) / weight_eval(0, 40, ctx2)
+    far = masses[41] / masses[40]
     assert abs(far - limit) < Fraction(1, 10 ** 3)
-    closer = weight_eval(0, 81, ctx2) / weight_eval(0, 80, ctx2)
+    closer = masses[81] / masses[80]
     assert abs(closer - limit) < abs(far - limit)
 
 
@@ -234,35 +232,3 @@ def test_weight_partial_sums_converge(ctx2):
             num, den = weight_partial_sums(i, m, ctx2)
             target = float((ctx2.alphas[i] * ctx2.q) ** m)
             assert abs(num / den - target) < 1e-10
-
-
-def test_q_gamma_at_one():
-    ctx = QContext.from_q_float(0.81, [0.5])
-    assert abs(q_gamma_numeric(1.0, ctx) - 1.0) < 1e-12
-
-
-def test_q_gamma_matches_factorial_at_integers():
-    ctx = QContext.from_q_float(0.81, [0.5])
-    exact = QContext.from_t("9/10", ["1/2"])
-    for s in range(1, 7):
-        gamma = q_gamma_numeric(s + 1.0, ctx)
-        reference = float(q_factorial(s, exact))
-        assert abs(gamma - reference) <= 1e-12 * abs(reference)
-
-
-def test_q_gamma_big_q_branch():
-    ctx = QContext.from_q_float(1.21, [0.5])
-    assert abs(q_gamma_numeric(2.0, ctx) - 1.0) < 1e-12
-    # functional equation Gamma(s+1) = x(s) Gamma(s) holds numerically
-    for s in [1.5, 2.5, 3.0]:
-        lhs = q_gamma_numeric(s + 1.0, ctx)
-        rhs = (ctx.q ** s - 1) / (ctx.q - 1) * q_gamma_numeric(s, ctx)
-        assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
-
-def test_q_gamma_pole():
-    ctx = QContext.from_q_float(0.81, [0.5])
-    with pytest.raises(ValueError):
-        q_gamma_numeric(0.0, ctx)
-    with pytest.raises(ValueError):
-        q_gamma_numeric(-3.0, ctx)

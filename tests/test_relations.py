@@ -141,11 +141,12 @@ def test_raising_residuals_vanish(ctx2, ctx3):
 
 
 def test_raising_modified_context_can_fail_validation():
-    # alpha_1 = alpha_2 * q^65 passes the base ratio guard (range 64) but the
-    # raised target context has alpha_1/q = alpha_2 * q^64, which is caught
+    # the raised target context (alpha_1/q = alpha_2 * q^64) is validated on
+    # its own; the exact ratio guard refuses alpha_1 = alpha_2 * q^65 already
+    # in the base context, so that one is built without validation
     q = Fraction(81, 100)
     alpha2 = Fraction(1, 2)
-    ctx = QContext.from_t("9/10", [alpha2 * q ** 65, alpha2])
+    ctx = QContext(t=Fraction(9, 10), q=q, alphas=(alpha2 * q ** 65, alpha2))
     with pytest.raises(ValidationError) as err:
         verify_raising((0, 0), 0, ctx)
     assert err.value.guard == "ratio"

@@ -1,6 +1,7 @@
 """Root extraction on the float backend."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -81,3 +82,22 @@ def test_upper_bound_contains_roots():
     bound = root_upper_bound(coeffs)
     roots = find_positive_roots(coeffs, 6)
     assert all(r < bound for r in roots)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="roots are bisected on floated coefficients; against the exact "
+    "polynomial the larger ones are off by about 1e-5",
+)
+def test_roots_bracket_exact_polynomial_sign_change():
+    q = 0.74
+    ctx = QContext(
+        t=Fraction(math.sqrt(q)), q=Fraction(q),
+        alphas=(Fraction(0.35), Fraction(0.55)), exact=True,
+    )
+    poly = build((6, 6), ctx, method="linear_system").poly
+    roots = find_positive_roots([float(c) for c in poly.coeffs], 12)
+    eps = Fraction(1, 10 ** 8)
+    for root in roots:
+        x = Fraction(root)
+        assert poly.evaluate(x - eps) * poly.evaluate(x + eps) < 0, root
