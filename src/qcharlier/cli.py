@@ -79,7 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--inject-defect", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
 
-    zeros_cmd = sub.add_parser("zeros", help="locate the real zeros (float backend)")
+    zeros_cmd = sub.add_parser(
+        "zeros", help="isolate the real zeros exactly and print them correctly rounded"
+    )
     _context_flags(zeros_cmd)
     zeros_cmd.add_argument("--n", required=True, help="multi-index, comma separated")
     zeros_cmd.set_defaults(func=cmd_zeros)
@@ -286,20 +288,14 @@ def _entry(identity, ctx, index, component, passed, residual_terms, start):
 
 def cmd_zeros(args) -> int:
     index = _parse_index(args.n)
-    alphas = args.alpha or list(DEFAULT_ALPHAS[: len(index)])
-    if getattr(args, "q", None) is not None:
-        q = float(args.q)
-    else:
-        q = float(Fraction(args.t or DEFAULT_T)) ** 2
-    ctx = QContext.from_q_float(q, [float(Fraction(a)) for a in alphas])
+    ctx = _make_context(args, len(index))
     ctx.require_convergent_measures()
     # coefficients are computed in exact rational arithmetic (the construction
-    # needs only q and the alphas, all exactly representable) and floated for
-    # the root scan: float-arithmetic construction loses the tiny constant
-    # term long before the scan would
-    shadow = _exact_shadow(ctx)
-    poly = build(index, shadow, method="linear_system").poly
-    roots = zeros.find_positive_roots([float(c) for c in poly.coeffs], index.weight)
+    # needs only q and the alphas, all exactly representable) and the roots
+    # are isolated exactly: float-arithmetic construction loses the tiny
+    # constant term, and floated coefficients move the roots
+    poly = build(index, _exact_shadow(ctx), method="linear_system").poly
+    roots = zeros.find_positive_roots(poly.coeffs, index.weight)
     document = {
         "q": format_scalar(ctx.q),
         "alphas": [format_scalar(a) for a in ctx.alphas],
@@ -311,7 +307,8 @@ def cmd_zeros(args) -> int:
 
 
 def _exact_shadow(ctx: QContext) -> QContext:
-    """Exact-rational twin of a float context for t-free construction paths.
+    """Exact-rational twin of a context for t-free construction paths (an
+    exact context comes back equal).
 
     Fraction(float) is exact, so q and the alphas carry over losslessly; t is
     only a rational approximation of sqrt(q), which the polynomial

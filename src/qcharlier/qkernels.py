@@ -453,34 +453,32 @@ def weight_masses(i: int, ctx: QContext) -> Iterator[Scalar]:
 
 
 def weight_partial_sums(i: int, m: int, ctx: QContext, tail_bound: float = 1e-14):
-    """Truncated sums (sum_s [s]^(m) w_i(s), sum_s w_i(s)) for numeric checks.
+    """Truncated sums (sum_s [s]^(m) w_i(s), sum_s w_i(s)) for numeric checks,
+    in floats over the masses of `weight_masses`.
 
     Truncates once the geometric tail estimate of the remaining terms drops
     below `tail_bound`; requires convergent measure semantics.
     """
     ctx.require_convergent_measures()
     q = float(ctx.q)
-    a = float(ctx.alphas[i])
     if q >= 1:
         raise ValidationError("convergence", "partial-sum checks need 0 < q < 1")
     # on this lattice x(s) < 1/(1-q), so [s]^(m) is bounded by that power
     falling_bound = (1.0 / (1.0 - q)) ** m
     total_m = 0.0
     total_0 = 0.0
-    s = 0
-    term = 1.0 / float(ctx.t)  # weight at s = 0
-    while True:
+    masses = (float(w) for w in weight_masses(i, ctx))
+    term = next(masses)
+    for s in itertools.count():
         fm = 1.0
         for j in range(m):
             fm *= (q ** (s - j) - 1) / (q - 1)
         total_m += fm * term
         total_0 += term
-        ratio = a * q / ((q ** (s + 1) - 1) / (q - 1))
-        next_term = term * ratio
+        next_term = next(masses)
+        # the term ratio alpha_i q / [s+1]_q only falls from here on
+        ratio = next_term / term
         if s > m and ratio < 1 and next_term * falling_bound / (1 - ratio) < tail_bound:
             break
         term = next_term
-        s += 1
-        if s > 100_000:
-            raise RuntimeError("weight series failed to reach the tail bound")
     return total_m, total_0

@@ -1,155 +1,117 @@
-"""Real root extraction for the float backend.
+"""Exact isolation of the positive real roots of a polynomial.
 
-The polynomials at hand have all their roots real, simple, and in (0, oo);
-one root sits geometrically close to the origin (the measures put their
-largest mass on the lattice point x = 0) while the rest spread out toward
-the accumulation point of the lattice.  The scan grid is therefore a hybrid:
-a linear sweep over (0, R] with a Cauchy-type upper bound R, plus a
-geometric tail of points reaching far below the smallest linear cell so the
-near-zero root is bracketed too.  Brackets are refined by bisection; the
-grid is densified until exactly the expected number of brackets shows up.
+The coefficients are read as exact rationals and scaled to integers, so every
+decision below is the sign of an integer.  A power of two above the Cauchy
+bound scales the roots into (0, 1), where Descartes' rule of signs with
+bisection isolates them (Collins-Akritas 1976; Rouillier-Zimmermann,
+J. Comput. Appl. Math. 162, 2004): the sign variations of
+(x + 1)^n P(1/(x + 1)) bound the number of roots of P in (0, 1) and decide a
+cell when they are 0 or 1.  Each isolating interval is then bisected at
+dyadic points until both of its ends round to the same double, so every
+returned float is the correctly rounded value of a true root.
 """
 
 from __future__ import annotations
 
-BISECTION_TOL = 1e-10
-MIN_GAP = 1e-8
-GEOMETRIC_FLOOR = 1e-25
-
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker coefficient splitting
+import math
+from fractions import Fraction
 
 
 class RootCountError(RuntimeError):
-    """Bracketing did not isolate the expected number of simple roots."""
+    """The polynomial does not have the expected number of simple positive roots."""
 
 
-def _two_prod(a, b):
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
+def _variations(coeffs) -> int:
+    """Sign variations of the nonzero coefficients."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _two_sum(a, b):
-    s = a + b
-    z = s - a
-    err = (a - (s - z)) + (b - z)
-    return s, err
+def _taylor_shift(coeffs) -> list:
+    """Coefficients of P(x + 1), lowest degree first."""
+    shifted = list(coeffs)
+    n = len(shifted) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+    return shifted
 
 
-def _eval(coeffs, x):
-    """Compensated Horner: roughly quadruple-precision accumulation, so sign
-    decisions survive the severe cancellation of clustered high-degree
-    evaluation (plain double Horner loses the sign structure by degree 10)."""
-    acc = coeffs[-1]
-    compensation = 0.0
-    for c in reversed(coeffs[:-1]):
-        product, product_err = _two_prod(acc, x)
-        acc, sum_err = _two_sum(product, c)
-        compensation = compensation * x + (product_err + sum_err)
-    return acc + compensation
-
-
-def root_upper_bound(coeffs) -> float:
-    """Upper bound on root magnitudes from the coefficients: the smaller of
-    the Cauchy bound 1 + max|a_i/a_n| and the Fujiwara bound
-    2 max_k |a_{n-k}/a_n|^(1/k) (the latter is what keeps the scan grid fine
-    enough when midrange coefficients are large)."""
-    if len(coeffs) <= 1:
-        return 1.0
-    lead = abs(coeffs[-1])
-    cauchy = 1.0 + max(abs(c) for c in coeffs[:-1]) / lead
+def _sign_at(coeffs, m: int, e: int) -> int:
+    """Sign of the integer polynomial at the dyadic point m / 2**e."""
     n = len(coeffs) - 1
-    fujiwara = 2.0 * max(
-        (abs(coeffs[n - k]) / lead) ** (1.0 / k) for k in range(1, n + 1)
-    )
-    return min(cauchy, fujiwara)
+    acc = coeffs[n]
+    for i in range(n - 1, -1, -1):
+        acc = acc * m + (coeffs[i] << (e * (n - i)))
+    return (acc > 0) - (acc < 0)
 
 
-def _scan_grid(upper: float, points: int):
-    linear = [upper * i / points for i in range(1, points + 1)]
-    first = linear[0]
-    tail = []
-    x = first
-    while x > GEOMETRIC_FLOOR:
-        x /= 10.0
-        for mantissa in (5.0, 2.0, 1.0):
-            tail.append(x * mantissa)
-    grid = sorted(set(tail + linear))
-    return grid
+def _refine(b, k: int, m: int, e: int, sign_lo: int) -> float:
+    """Correctly rounded root of b(x / 2**k) from the one simple root of b in
+    (m / 2**e, (m + 1) / 2**e); b has sign `sign_lo` just right of the left end."""
+    while (m << k) / (1 << e) != ((m + 1) << k) / (1 << e):
+        m, e = 2 * m + 1, e + 1
+        sign = _sign_at(b, m, e)
+        if sign == 0:
+            break
+        if sign != sign_lo:
+            m -= 1
+    return (m << k) / (1 << e)
 
 
-def find_positive_roots(coeffs, expected: int, min_gap: float = MIN_GAP) -> list:
-    """All `expected` simple roots in (0, oo) of the polynomial with these
-    float coefficients.
-
-    Bisection stops at a bracket width of 1e-10, but that bounds the error
-    only against the float coefficients.  Against an exact polynomial whose
-    coefficients were rounded to floats, the larger roots drift much
-    further: by up to 6e-5 at n = (12), q = 0.74, alpha = 0.35, and by 1e-5
-    at n = (6, 6), q = 0.74, alpha = (0.35, 0.55).
+def find_positive_roots(coeffs, expected: int) -> list:
+    """The `expected` simple roots in (0, oo) of the polynomial with these
+    coefficients (lowest degree first; Fractions, ints or floats, all read
+    exactly), ascending and correctly rounded to doubles.
 
     Fails at once, by Descartes' rule of signs, when the coefficients have
-    fewer sign variations than `expected`.  Asserts the count, positivity,
-    and a minimum pairwise gap (default 1e-8, which the families at desk
-    scale satisfy with a wide margin)."""
-    coeffs = [float(c) for c in coeffs]
+    fewer sign variations than `expected`, and with `RootCountError` whenever
+    the isolated roots do not number `expected` or a root is repeated."""
+    coeffs = [Fraction(c) for c in coeffs]
     if expected == 0:
         return []
-    if len(coeffs) - 1 != expected:
-        raise ValueError(f"degree {len(coeffs) - 1} polynomial cannot have {expected} roots")
-    signs = [c > 0 for c in coeffs if c != 0]
-    variations = sum(a != b for a, b in zip(signs, signs[1:]))
+    n = len(coeffs) - 1
+    if n != expected:
+        raise ValueError(f"degree {n} polynomial cannot have {expected} roots")
+    variations = _variations(coeffs)
     if variations < expected:
         raise RootCountError(
             f"{variations} coefficient sign variations bound the positive roots "
             f"(Descartes' rule of signs), fewer than the {expected} expected"
         )
-    upper = root_upper_bound(coeffs)
-    points = 128 * expected
-    while True:
-        grid = [0.0] + _scan_grid(upper, points)
-        values = [_eval(coeffs, x) for x in grid]
-        brackets = []
-        for i in range(1, len(grid)):
-            left, right = values[i - 1], values[i]
-            if right == 0.0:
-                brackets.append((grid[i], grid[i]))
-            elif left != 0.0 and (left < 0) != (right < 0):
-                brackets.append((grid[i - 1], grid[i]))
-        if len(brackets) == expected:
-            break
-        if points > 2_000_000:
-            raise RootCountError(
-                f"found {len(brackets)} sign changes for {expected} expected roots"
-            )
-        points *= 4
-    roots = [a if a == b else _bisect(coeffs, a, b) for a, b in brackets]
-    roots.sort()
-    if roots[0] <= 0:
-        raise RootCountError(f"root {roots[0]} is not positive")
-    for left, right in zip(roots, roots[1:]):
-        if right - left <= min_gap:
-            raise RootCountError(f"roots {left} and {right} closer than {min_gap}")
-    return roots
+    # from here on a_0 and a_n are nonzero: otherwise fewer variations
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    a = [c.numerator * (scale // c.denominator) for c in coeffs]
+    # every root has modulus below 1 + max|a_i / a_n| <= 2**k
+    k = (max(abs(c) for c in a[:-1]) // abs(a[-1]) + 1).bit_length()
+    b = [c << (k * i) for i, c in enumerate(a)]
+    # Mahler-Mignotte: distinct roots of a squarefree a lie further apart than
+    # 2**(1 + k - depth_limit), where every cell has at most one variation
+    width = max(abs(c) for c in a).bit_length() + n.bit_length()
+    depth_limit = k + 2 + (n + 1) * width
 
+    roots = []
+    cells = [(0, 0, b)]  # (c, d, P): P(x) is b((x + c) / 2**d) up to a positive factor
+    while cells:
+        c, d, p = cells.pop()
+        count = _variations(_taylor_shift(p[::-1]))
+        if count == 1:
+            roots.append(_refine(b, k, c, d, 1 if p[0] > 0 else -1))
+        if count <= 1:
+            continue
+        if d == depth_limit:
+            raise RootCountError(f"repeated root near {(c << k) / (1 << d)}")
+        degree = len(p) - 1
+        left = [x << (degree - i) for i, x in enumerate(p)]
+        right = _taylor_shift(left)
+        if right[0] == 0:
+            # a root sits exactly on the split point
+            roots.append(((2 * c + 1) << k) / (1 << (d + 1)))
+            right = right[1:]
+            if right[0] == 0:
+                raise RootCountError(f"repeated root at {roots[-1]}")
+        cells += [(2 * c, d + 1, left), (2 * c + 1, d + 1, right)]
 
-def _bisect(coeffs, a, b):
-    fa = _eval(coeffs, a)
-    if fa == 0:
-        return a
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = _eval(coeffs, mid)
-        if fm == 0 or (b - a) < BISECTION_TOL:
-            return mid
-        if (fm < 0) == (fa < 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    if len(roots) != expected:
+        raise RootCountError(f"isolated {len(roots)} positive roots for {expected} expected")
+    return sorted(roots)

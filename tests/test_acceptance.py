@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Tolerances are pinned here and nowhere else: exact equality for every
-algebraic identity, 1e-10 for the moment/zero numerics, order 1.0 +/- 0.2 for
-the classical limit, and a 30 s wall budget for the cross-method grids.
+algebraic identity, correctly rounded zeros, 1e-10 for the moment numerics,
+order 1.0 +/- 0.2 for the classical limit, and a 30 s wall budget for the
+cross-method grids.
 """
 
 import itertools
@@ -176,21 +177,17 @@ def test_criterion_08_classical_limit():
 
 
 def test_criterion_09_zeros(actx2):
-    # exact coefficients floated for the scan: the roots live in double
-    # precision (the smallest one decays geometrically with |n|), while
-    # float-arithmetic construction would wash out the constant term first
+    # exact coefficients, exact isolation: every root is the correctly rounded
+    # double of a true root (the smallest one decays geometrically with |n|)
     ok = True
     for index in GRID2:
         expected = index.weight
-        coeffs = [float(c) for c in build_linear_system(index, actx2).poly.coeffs]
-        roots = find_positive_roots(coeffs, expected)
+        roots = find_positive_roots(build_linear_system(index, actx2).poly.coeffs, expected)
         ok &= len(roots) == expected
         ok &= all(r > 0 for r in roots)
         ok &= all(b - a > 1e-8 for a, b in zip(roots, roots[1:]))
-    unit = find_positive_roots(
-        [float(c) for c in build_linear_system((1, 0), actx2).poly.coeffs], 1
-    )
-    ok &= abs(unit[0] - 0.5 * 0.81) < 1e-10
+    unit = find_positive_roots(build_linear_system((1, 0), actx2).poly.coeffs, 1)
+    ok &= unit == [float(Fraction(1, 2) * Fraction(81, 100))]
     report(9, "zeros: count, simplicity, unit-index value", ok)
 
 

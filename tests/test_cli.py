@@ -1,8 +1,10 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 from qcharlier.cli import main
+from qcharlier.scalars import format_scalar
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +132,15 @@ def test_zeros_unit_index(capsys):
     doc = json.loads(out)
     assert len(doc["roots"]) == 1
     assert abs(float(doc["roots"][0]) - 0.405) < 1e-10
+
+
+def test_zeros_keeps_t_exact(capsys):
+    code, out, _ = run_cli(capsys, "zeros", "--t", "9/10", "--alpha", "1/2", "--n", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["q"] == "81/100"
+    assert doc["alphas"] == ["1/2"]
+    assert doc["roots"] == [format_scalar(float(Fraction(81, 200)))]
 
 
 def test_zeros_empty_for_origin(capsys):
