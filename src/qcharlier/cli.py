@@ -290,11 +290,13 @@ def cmd_zeros(args) -> int:
     index = _parse_index(args.n)
     ctx = _make_context(args, len(index))
     ctx.require_convergent_measures()
-    # coefficients are computed in exact rational arithmetic (the construction
-    # needs only q and the alphas, all exactly representable) and the roots
-    # are isolated exactly: float-arithmetic construction loses the tiny
-    # constant term, and floated coefficients move the roots
-    poly = build(index, _exact_shadow(ctx), method="linear_system").poly
+    # coefficients are computed in exact rational arithmetic (the polynomial
+    # depends only on q and the alphas, all exactly representable) and the
+    # roots are isolated exactly: float-arithmetic construction loses the tiny
+    # constant term, and floated coefficients move the roots.  The Rodrigues
+    # route gives the oracle's polynomial at a fraction of its cost; its t^n
+    # from the differences cancels against the t^(-n) of its constant.
+    poly = build(index, _exact_shadow(ctx), method="rodrigues").poly
     roots = zeros.find_positive_roots(poly.coeffs, index.weight)
     document = {
         "q": format_scalar(ctx.q),
@@ -307,12 +309,12 @@ def cmd_zeros(args) -> int:
 
 
 def _exact_shadow(ctx: QContext) -> QContext:
-    """Exact-rational twin of a context for t-free construction paths (an
-    exact context comes back equal).
+    """Exact-rational twin of a context for construction paths whose result
+    does not depend on t (an exact context comes back equal).
 
     Fraction(float) is exact, so q and the alphas carry over losslessly; t is
-    only a rational approximation of sqrt(q), which the polynomial
-    construction never touches."""
+    only a rational approximation of sqrt(q).  The oracle never touches t,
+    and in the Rodrigues route its powers cancel exactly."""
     shadow = QContext(
         t=Fraction(ctx.t),
         q=Fraction(ctx.q),

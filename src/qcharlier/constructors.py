@@ -28,20 +28,22 @@ All four agree coefficient-for-coefficient on exact contexts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .latticefn import WeightedLatticeFn, rodrigues_elementary
 from .qkernels import (
     LatticePoly,
+    MemoScope,
     MultiIndex,
     QContext,
     Scalar,
     binom2,
     falling_mul_falling,
     from_falling_basis,
+    memo_scope,
     q_factorial,
     q_falling_number,
+    scoped_memo,
     to_falling_basis,
 )
 
@@ -79,15 +81,27 @@ def normalized_moment(i: int, m: int, ctx: QContext) -> Scalar:
 
 def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
     """Lambda_i( p * [s]^(k) ): expand the product in the falling basis and
-    contract with the normalized moments."""
+    contract with the normalized moments (alpha_i q)^m, read from the memo
+    scope of q."""
     fall = falling_mul_falling(to_falling_basis(p, ctx), k, ctx)
-    nu = ctx.one()
-    base = ctx.alphas[i] * ctx.q
-    total = ctx.zero()
-    for c in fall.coeffs:
+    return _contract(fall, ctx.alphas[i], memo_scope(ctx.q, ctx.exact))
+
+
+def _contract(fall: LatticePoly, alpha: Scalar, scope: MemoScope) -> Scalar:
+    total = scope.zero
+    for c, nu in zip(fall.coeffs, scope.moments(alpha, len(fall.coeffs))):
         total += c * nu
-        nu *= base
     return total
+
+
+def _unit_pairing(alpha: Scalar, j: int, k: int, scope: MemoScope) -> Scalar:
+    """Lambda([s]^(j) [s]^(k)) at weight parameter alpha, the value
+    `moment_pairing` gives for the unit polynomial [s]^(j); kept in the memo
+    scope, so every context at this q with this alpha shares it."""
+    key = (alpha, j, k)
+    if key not in scope.pairings:
+        scope.pairings[key] = _contract(scope.falling_product(j, k), alpha, scope)
+    return scope.pairings[key]
 
 
 # ---------------------------------------------------------------------------
@@ -101,22 +115,19 @@ def build_linear_system(index, ctx: QContext) -> QCharlierPoly:
     return QCharlierPoly(ctx, index, poly, "linear_system")
 
 
-@lru_cache(maxsize=None)
+@scoped_memo
 def _linear_system_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     n = index.weight
     if n == 0:
         return LatticePoly.one()
+    scope = memo_scope(ctx.q, ctx.exact)
     lead = ctx.q ** binom2(n)
+    top = LatticePoly.falling((ctx.zero(),) * n + (lead,))
     rows = []
     rhs = []
     for i, ni in enumerate(index):
         for k in range(ni):
-            row = []
-            for j in range(n):
-                unit = LatticePoly.falling((ctx.zero(),) * j + (ctx.one(),))
-                row.append(moment_pairing(unit, k, i, ctx))
-            top = LatticePoly.falling((ctx.zero(),) * n + (lead,))
-            rows.append(row)
+            rows.append([_unit_pairing(ctx.alphas[i], j, k, scope) for j in range(n)])
             rhs.append(-moment_pairing(top, k, i, ctx))
     solution = _solve(rows, rhs, ctx)
     fall = LatticePoly.falling(tuple(solution) + (lead,))
@@ -171,7 +182,7 @@ def build_rodrigues(index, ctx: QContext) -> QCharlierPoly:
     return QCharlierPoly(ctx, index, poly, "rodrigues")
 
 
-@lru_cache(maxsize=None)
+@scoped_memo
 def _rodrigues_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     fn = WeightedLatticeFn(ctx.one(), LatticePoly.one(), factorial_denominator=True)
     for i, ni in enumerate(index):
@@ -254,7 +265,7 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
     return QCharlierPoly(ctx, index, poly, "recurrence")
 
 
-@lru_cache(maxsize=None)
+@scoped_memo
 def _recurrence_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     if index.weight == 0:
         return LatticePoly.one()

@@ -8,10 +8,15 @@ type of the package (`LatticePoly`), q-integers, q-factorials, Gaussian
 binomials, the discrete weights, and the degree-triangular change of basis
 between monomials in X = x(s) and the falling-factorial polynomials
 [s]^(k) = x(s) x(s-1) ... x(s-k+1).
+
+The falling-basis kernels read their tables from one memo scope per
+(q, backend) (`memo_scope`), which every context at that q shares and which
+is dropped when another q is used.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -329,7 +334,7 @@ class LatticePoly:
 
 def x_of(s: int, ctx: QContext) -> Scalar:
     """Lattice value x(s) = (q^s - 1)/(q - 1); any integer s."""
-    return (ctx.q ** s - 1) / (ctx.q - 1)
+    return memo_scope(ctx.q, ctx.exact).x(s)
 
 
 def q_number(k: int, ctx: QContext) -> Scalar:
@@ -373,41 +378,134 @@ def binom2(n: int) -> int:
 def falling_factorial_poly(k: int, ctx: QContext) -> LatticePoly:
     """[s]^(k) as a monomial polynomial: prod_{j=0}^{k-1} (X - x(j))/q^j.
 
-    The leading coefficient is q^(-k(k-1)/2).
+    The leading coefficient is q^(-k(k-1)/2).  Read from the memo scope of
+    q, where [s]^(k) is built once from [s]^(k-1) by its last factor.
     """
     if k < 0:
         raise ValueError("falling-factorial order must be nonnegative")
-    p = LatticePoly.one()
-    for j in range(k):
-        shifted = LatticePoly.monomial((-x_of(j, ctx), ctx.one()))
-        p = (p * shifted).scale(ctx.q ** (-j))
-    return p
+    return memo_scope(ctx.q, ctx.exact).falling_poly(k)
 
 
-def falling_mul_x(p: LatticePoly, ctx: QContext) -> LatticePoly:
-    """Multiply a falling-basis polynomial by X via
-    X*[s]^(j) = q^j [s]^(j+1) + x(j) [s]^(j)."""
-    if p.basis != FALLING:
-        raise ValueError("falling_mul_x expects the falling basis")
-    out = [ctx.zero()] * (len(p.coeffs) + 1)
-    for j, c in enumerate(p.coeffs):
-        out[j + 1] += c * ctx.q ** j
-        out[j] += c * x_of(j, ctx)
+def _falling_factor(p: LatticePoly, j: int, scope: "MemoScope") -> LatticePoly:
+    """p * (X - x(j))/q^j for a falling-basis p, through the exact rewrite
+    X*[s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m)."""
+    out = [scope.zero] * (len(p.coeffs) + 1)
+    for m, c in enumerate(p.coeffs):
+        out[m + 1] += c * scope.qpow(m)
+        out[m] += c * scope.x(m)
+    x_j, step = scope.x(j), scope.qpow(-j)
+    for m, c in enumerate(p.coeffs):
+        out[m] = step * (out[m] - x_j * c)
+    out[-1] = step * out[-1]
     return LatticePoly.falling(out)
 
 
 def falling_mul_falling(p: LatticePoly, k: int, ctx: QContext) -> LatticePoly:
     """Product of a falling-basis polynomial with [s]^(k), staying in basis.
 
-    Uses the exact rewrite above iterated over the factors (X - x(j))/q^j,
-    which keeps the expansion quadratic in the degree.
+    Multiplies by the factors (X - x(j))/q^j of [s]^(k) one at a time, which
+    keeps the expansion quadratic in the degree; the memo scope of q builds
+    its table of products [s]^(j)[s]^(k) with the same factor step.
     """
     if p.basis != FALLING:
         raise ValueError("falling_mul_falling expects the falling basis")
+    scope = memo_scope(ctx.q, ctx.exact)
     out = p
     for j in range(k):
-        out = (falling_mul_x(out, ctx) - out.scale(x_of(j, ctx))).scale(ctx.q ** (-j))
+        out = _falling_factor(out, j, scope)
     return out
+
+
+class MemoScope:
+    """Memo tables shared by every context at one q and scalar backend.
+
+    What depends on q alone: the powers q^m, the lattice values x(j), the
+    falling-factorial polynomials [s]^(k) and the falling products
+    [s]^(j)[s]^(k).  What depends on (alpha, q): the moment powers
+    (alpha q)^m and, in `pairings`, the unit pairings
+    Lambda([s]^(j)[s]^(k)).  `memos` holds the per-route polynomial memos,
+    keyed by context.  Every entry is computed by the operations the
+    uncached code would run, in the same order, so cached values equal
+    uncached ones bit for bit, floats included.
+    """
+
+    def __init__(self, q: Scalar, exact: bool):
+        self.q = q
+        self.zero = Fraction(0) if exact else 0.0
+        self.one = Fraction(1) if exact else 1.0
+        self._qpow = {}
+        self._x = {}
+        self._falling = [LatticePoly.one()]
+        self._products = {}
+        self._moments = {}
+        self.pairings = {}
+        self.memos = {}
+
+    def qpow(self, m: int) -> Scalar:
+        """q**m for any integer m."""
+        if m not in self._qpow:
+            self._qpow[m] = self.q ** m
+        return self._qpow[m]
+
+    def x(self, s: int) -> Scalar:
+        """x(s) = (q^s - 1)/(q - 1)."""
+        if s not in self._x:
+            self._x[s] = (self.q ** s - 1) / (self.q - 1)
+        return self._x[s]
+
+    def falling_poly(self, k: int) -> LatticePoly:
+        """[s]^(k) in the monomial basis."""
+        table = self._falling
+        while len(table) <= k:
+            j = len(table) - 1
+            shifted = LatticePoly.monomial((-self.x(j), self.one))
+            table.append((table[j] * shifted).scale(self.qpow(-j)))
+        return table[k]
+
+    def falling_product(self, j: int, k: int) -> LatticePoly:
+        """[s]^(j) [s]^(k) in the falling basis, as `falling_mul_falling`
+        expands the unit polynomial [s]^(j)."""
+        if j not in self._products:
+            self._products[j] = [LatticePoly.falling((self.zero,) * j + (self.one,))]
+        row = self._products[j]
+        while len(row) <= k:
+            row.append(_falling_factor(row[-1], len(row) - 1, self))
+        return row[k]
+
+    def moments(self, alpha: Scalar, count: int) -> list:
+        """The normalized moments (alpha q)^m by repeated multiplication,
+        at least `count` of them."""
+        if alpha not in self._moments:
+            self._moments[alpha] = [self.one]
+        powers = self._moments[alpha]
+        while len(powers) < count:
+            powers.append(powers[-1] * (alpha * self.q))
+        return powers
+
+
+@functools.lru_cache(maxsize=1)
+def memo_scope(q: Scalar, exact: bool) -> MemoScope:
+    """The memo scope of (q, backend); one is alive at a time.
+
+    The backend is part of the key because Fraction(0.81) == 0.81 with the
+    same hash: keyed on q alone, the exact twin of a float context would be
+    handed float tables."""
+    return MemoScope(q, exact)
+
+
+def scoped_memo(fn):
+    """Memoize fn(ctx, index) in the memo scope of ctx, so its entries are
+    dropped with the scope's tables when q changes."""
+
+    @functools.wraps(fn)
+    def memoized(ctx: QContext, index: MultiIndex):
+        memo = memo_scope(ctx.q, ctx.exact).memos.setdefault(fn.__name__, {})
+        key = (ctx, index)
+        if key not in memo:
+            memo[key] = fn(ctx, index)
+        return memo[key]
+
+    return memoized
 
 
 def to_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,3 +24,18 @@ def ctx3():
 @pytest.fixture(scope="session")
 def q2():
     return Fraction(81, 100)
+
+
+@pytest.fixture
+def clear_caches():
+    """Clears every memo of the package: calls `cache_clear` on each
+    module-level callable of qcharlier.* that has one."""
+
+    def clear():
+        for name, module in list(sys.modules.items()):
+            if name == "qcharlier" or name.startswith("qcharlier."):
+                for value in list(vars(module).values()):
+                    if callable(getattr(value, "cache_clear", None)):
+                        value.cache_clear()
+
+    return clear

@@ -3,7 +3,8 @@
 import json
 from fractions import Fraction
 
-from qcharlier.cli import main
+from qcharlier import QContext, build
+from qcharlier.cli import _exact_shadow, main
 from qcharlier.scalars import format_scalar
 
 
@@ -159,6 +160,25 @@ def test_zeros_two_weights(capsys):
     roots = [float(r) for r in json.loads(out)["roots"]]
     assert len(roots) == 2
     assert 0 < roots[0] < roots[1]
+
+
+def test_zeros_after_float_gen_at_same_q(capsys, clear_caches):
+    # Fraction(0.74) == 0.74 with the same hash, so the exact twin that zeros
+    # builds must not be handed what the float gen left in the memos
+    flags = ("--q", "0.74", "--alpha", "0.35", "--alpha", "0.55", "--n", "6,6")
+    clear_caches()
+    code, out, _ = run_cli(capsys, "zeros", *flags)
+    assert code == 0
+    fresh = json.loads(out)["roots"]
+    clear_caches()
+    assert run_cli(capsys, "gen", *flags)[0] == 0
+    exact = _exact_shadow(QContext.from_q_float(0.74, [0.35, 0.55]))
+    for method in ("linear_system", "rodrigues"):
+        coeffs = build((6, 6), exact, method=method).coefficients
+        assert all(isinstance(c, Fraction) for c in coeffs)
+    code, out, _ = run_cli(capsys, "zeros", *flags)
+    assert code == 0
+    assert json.loads(out)["roots"] == fresh
 
 
 def test_limit_command(capsys):

@@ -16,6 +16,7 @@ from qcharlier import (
     normalized_moment,
     rodrigues_constant,
 )
+from qcharlier.cli import _exact_shadow
 from qcharlier.constructors import moment_pairing
 from qcharlier.qkernels import (
     q_falling_number,
@@ -159,4 +160,22 @@ def test_float_backend_construction():
 @given(st.tuples(st.integers(0, 3), st.integers(0, 3)))
 def test_rodrigues_equals_oracle_property(parts):
     ctx = QContext.from_t("9/10", ["1/2", "3/5"])
+    assert build_rodrigues(parts, ctx).poly == build_linear_system(parts, ctx).poly
+
+
+@pytest.mark.parametrize(
+    "q, alphas, parts",
+    [
+        (0.74, (0.35, 0.55), (6, 6)),
+        (0.74, (0.35, 0.55, 0.8), (4, 4, 4)),
+        (0.74, (0.35,), (12,)),
+        (1.3, (0.5, 0.6), (3, 2)),
+    ],
+)
+def test_rodrigues_equals_oracle_on_exact_shadow(q, alphas, parts):
+    # the exact twin of a float context keeps a t with t*t != q; the
+    # Rodrigues route still gives the oracle's polynomial because its t^n
+    # from the differences cancels against the t^(-n) of its constant
+    ctx = _exact_shadow(QContext.from_q_float(q, alphas))
+    assert ctx.t * ctx.t != ctx.q
     assert build_rodrigues(parts, ctx).poly == build_linear_system(parts, ctx).poly

@@ -1,20 +1,23 @@
 """q-primitives, lattice values, basis conversions, weights, and the guards."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcharlier import LatticePoly, MultiIndex, QContext, ValidationError
+from qcharlier import LatticePoly, MultiIndex, QContext, ValidationError, build_linear_system
 from qcharlier.latticefn import shift_poly
 from qcharlier.qkernels import (
+    MemoScope,
     binom2,
     falling_factorial_poly,
     falling_mul_falling,
-    falling_mul_x,
     from_falling_basis,
+    memo_scope,
     q_binomial,
     q_factorial,
     q_number,
@@ -195,12 +198,28 @@ def test_falling_product_matches_monomial_product(coeffs, k):
 
 
 def test_falling_mul_x_rewrite(ctx2, q2):
-    # X * [s]^(j) = q^j [s]^(j+1) + x(j) [s]^(j)
+    # X * [s]^(j) = q^j [s]^(j+1) + x(j) [s]^(j); [s]^(1) = X since x(0) = 0
     for j in range(5):
         unit = LatticePoly.falling((0,) * j + (1,))
-        shifted = falling_mul_x(unit, ctx2)
+        shifted = falling_mul_falling(unit, 1, ctx2)
         expected = from_falling_basis(unit, ctx2).times_x()
         assert from_falling_basis(shifted, ctx2) == expected
+
+
+def test_one_memo_scope_alive(clear_caches):
+    first = QContext.from_t("9/10", ["1/2", "3/5"])
+    build_linear_system((2, 1), first)
+    scope = weakref.ref(memo_scope(first.q, first.exact))
+    second = QContext.from_t("4/3", ["1/2", "3/5"])
+    build_linear_system((2, 1), second)
+    gc.collect()
+    assert scope() is None
+    # the rule the benchmark applies between fixed op lists reaches every memo
+    scope = weakref.ref(memo_scope(second.q, second.exact))
+    clear_caches()
+    gc.collect()
+    assert scope() is None
+    assert not any(isinstance(obj, MemoScope) for obj in gc.get_objects())
 
 
 # ---------------------------------------------------------------------------
