@@ -32,7 +32,7 @@ from .relations import (
     verify_raising,
     verify_stepline,
 )
-from .classical import ClassicalCharlierPoly, classical_build, classical_diffeq_residual
+from .classical import classical_build, classical_diffeq_residual
 
 __all__ = [
     "FALLING",
@@ -60,7 +60,6 @@ __all__ = [
     "verify_nn_recurrence",
     "verify_raising",
     "verify_stepline",
-    "ClassicalCharlierPoly",
     "classical_build",
     "classical_diffeq_residual",
 ]

@@ -14,25 +14,15 @@ L_i f = alpha_i f(x) - x f(x-1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .qkernels import LatticePoly, MultiIndex
 
 
-@dataclass(frozen=True)
-class ClassicalCharlierPoly:
-    index: MultiIndex
-    alphas: Tuple
-    coeffs: Tuple  # monomial basis in x, degree-indexed, monic
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-
-def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> ClassicalCharlierPoly:
+def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> LatticePoly:
+    """The monic C_n in the monomial basis, built along `path` (0-based
+    component indices reaching `index`; by default component by component)."""
     index = MultiIndex.coerce(index)
     alphas = tuple(alphas)
     if len(alphas) != len(index):
@@ -43,6 +33,8 @@ def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> Clas
         path = [i for i, ni in enumerate(index) for _ in range(ni)]
     counts = [0] * len(index)
     for k in path:
+        if not 0 <= k < len(index):
+            raise ValueError(f"path component {k} out of range for r = {len(index)}")
         counts[k] += 1
     if tuple(counts) != index.parts:
         raise ValueError(f"path {list(path)} does not lead from 0 to {index.parts}")
@@ -76,14 +68,14 @@ def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> Clas
         nxt[k] += 1
         table[tuple(nxt)] = _step(current, k)
         current = tuple(nxt)
-    return ClassicalCharlierPoly(index=index, alphas=alphas, coeffs=table[index.parts].coeffs)
+    return table[index.parts]
 
 
 def classical_diffeq_residual(index, alphas):
     """Residual of the classical (r+1)-order identity (zero expected; the
     zero multi-index is degenerate and returns zero trivially)."""
     index = MultiIndex.coerce(index)
-    poly = LatticePoly.monomial(classical_build(index, alphas).coeffs)
+    poly = classical_build(index, alphas)
 
     def lower_op(p, alpha):
         # alpha f(x) - x f(x-1)

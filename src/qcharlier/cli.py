@@ -29,7 +29,17 @@ from .scalars import format_scalar, parse_scalar
 
 DEFAULT_T = "9/10"
 DEFAULT_ALPHAS = ("1/2", "3/5", "7/10")
-SUITES = ("orthogonality", "raising", "lowering", "diffeq", "nn", "stepline", "all")
+#: (suite, its verifier in `relations`, whether it runs once per component),
+#: in report order; step-line runs at r = 2 only, on the `stepline_valid` cells
+CHECKS = (
+    ("orthogonality", "orthogonality_residuals", False),
+    ("raising", "verify_raising", True),
+    ("lowering", "verify_lowering", False),
+    ("diffeq", "diff_eq_residual", False),
+    ("nn", "verify_nn_recurrence", True),
+    ("stepline", "verify_stepline", False),
+)
+SUITES = tuple(suite for suite, _, _ in CHECKS) + ("all",)
 METHOD_NAMES = {
     "rodrigues": "rodrigues",
     "explicit": "explicit_r2",
@@ -63,15 +73,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     gen = sub.add_parser("gen", help="construct one polynomial and print it as JSON")
-    _context_flags(gen)
+    _context_flags(gen, "t", "q")
     gen.add_argument("--n", required=True, help="multi-index, comma separated (e.g. 2,1)")
     gen.add_argument("--method", choices=sorted(METHOD_NAMES), default="system")
     gen.add_argument("--basis", choices=("monomial", "falling"), default="monomial")
     gen.set_defaults(func=cmd_gen)
 
     verify = sub.add_parser("verify", help="run identity suites over a multi-index grid")
-    verify.add_argument("--t", default=DEFAULT_T, help="rational t, q = t^2 (default 9/10)")
-    verify.add_argument("--alpha", action="append", help="weight parameter p/r (repeatable)")
+    _context_flags(verify, "t")
     verify.add_argument("--suite", choices=SUITES, default="all")
     verify.add_argument("--rmax", type=int, default=2, help="run r = 1..rmax (default 2)")
     verify.add_argument("--nmax", type=int, default=3, help="grid bound per component (default 3)")
@@ -82,12 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
     zeros_cmd = sub.add_parser(
         "zeros", help="isolate the real zeros exactly and print them correctly rounded"
     )
-    _context_flags(zeros_cmd)
+    _context_flags(zeros_cmd, "t", "q")
     zeros_cmd.add_argument("--n", required=True, help="multi-index, comma separated")
     zeros_cmd.set_defaults(func=cmd_zeros)
 
     limit = sub.add_parser("limit", help="compare against the classical family as q -> 1")
-    limit.add_argument("--alpha", action="append", help="weight parameter p/r (repeatable)")
+    _context_flags(limit)
     limit.add_argument("--n", default="2,1", help="multi-index, comma separated")
     limit.add_argument("--m-list", default="2,3,4", help="exponents m for q = 1 - 10^-m")
     limit.add_argument("--quiet", action="store_true")
@@ -96,24 +105,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _context_flags(sub):
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--t", help="rational t (exact backend, q = t^2)")
-    group.add_argument("--q", type=float, help="float q (approximate backend)")
-    sub.add_argument("--alpha", action="append", help="weight parameter (repeatable)")
+def _context_flags(sub, *names):
+    """--alpha, plus --t and --q where `names` asks for them (one or the
+    other when both)."""
+    group = sub.add_mutually_exclusive_group() if "q" in names else sub
+    if "t" in names:
+        group.add_argument("--t", default=DEFAULT_T, help="rational t, q = t^2 (default 9/10)")
+    if "q" in names:
+        group.add_argument("--q", type=float, help="float q (approximate backend)")
+    sub.add_argument("--alpha", action="append", help="weight parameter p/r (repeatable)")
 
 
 def _parse_index(text) -> MultiIndex:
     return MultiIndex(tuple(int(p) for p in str(text).split(",")))
 
 
-def _make_context(args, r: int) -> QContext:
-    alphas = args.alpha or list(DEFAULT_ALPHAS[:r])
-    if len(alphas) != r:
-        raise ValueError(f"need {r} weight parameters, got {len(alphas)}")
+def _alphas(args, r: int, source: str, prefixes: bool = False) -> list:
+    """The weight parameters: the --alpha values, else the defaults.  `source`
+    (what sets r) needs r of them; with `prefixes` (verify, which runs on the
+    first 1..r) the defaults come whole and spare values are allowed."""
+    alphas = args.alpha or list(DEFAULT_ALPHAS if prefixes else DEFAULT_ALPHAS[:r])
+    if len(alphas) < r or (len(alphas) > r and not prefixes):
+        raise ValueError(f"{source} needs {r} weight parameters, got {len(alphas)}")
+    return alphas
+
+
+def _make_context(args, alphas) -> QContext:
     if getattr(args, "q", None) is not None:
         return QContext.from_q_float(args.q, [float(Fraction(a)) for a in alphas])
-    return QContext.from_t(args.t or DEFAULT_T, alphas)
+    return QContext.from_t(args.t, alphas)
+
+
+def _context_fields(ctx: QContext, index: MultiIndex, with_t: bool = True) -> dict:
+    """The leading fields of a gen or zeros document."""
+    fields = {"t": format_scalar(ctx.t)} if with_t else {}
+    fields["q"] = format_scalar(ctx.q)
+    fields["alphas"] = [format_scalar(a) for a in ctx.alphas]
+    fields["multi_index"] = list(index.parts)
+    return fields
 
 
 def _emit(document) -> None:
@@ -126,21 +155,16 @@ def _emit(document) -> None:
 
 def cmd_gen(args) -> int:
     index = _parse_index(args.n)
-    ctx = _make_context(args, len(index))
-    result = build(index, ctx, method=METHOD_NAMES[args.method])
-    poly = result.poly
+    ctx = _make_context(args, _alphas(args, len(index), f"multi-index {args.n}"))
+    poly = build(index, ctx, method=METHOD_NAMES[args.method]).poly
     if args.basis == "falling":
         poly = to_falling_basis(poly, ctx)
-    document = {
-        "t": format_scalar(ctx.t),
-        "q": format_scalar(ctx.q),
-        "alphas": [format_scalar(a) for a in ctx.alphas],
-        "multi_index": list(index.parts),
+    _emit({
+        **_context_fields(ctx, index),
         "method": args.method,
         "basis": args.basis,
         "coefficients": [format_scalar(c) for c in poly.coeffs],
-    }
-    _emit(document)
+    })
     return EXIT_OK
 
 
@@ -172,29 +196,18 @@ def _defect_builder(spec: str):
     return builder
 
 
-def _grid(r: int, nmax: int):
-    return itertools.product(range(nmax + 1), repeat=r)
-
-
 def cmd_verify(args) -> int:
-    base_alphas = args.alpha or list(DEFAULT_ALPHAS)
     if args.rmax < 1:
         raise ValueError("rmax must be at least 1")
-    if args.rmax > len(base_alphas):
-        raise ValueError(
-            f"rmax = {args.rmax} needs that many weight parameters, got {len(base_alphas)}"
-        )
+    if args.nmax < 0:
+        raise ValueError("nmax must be at least 0")
+    base_alphas = _alphas(args, args.rmax, f"rmax = {args.rmax}", prefixes=True)
+    builder = _defect_builder(args.inject_defect) if args.inject_defect else None
     checks = []
-    failed = False
-
     for r in range(1, args.rmax + 1):
-        ctx = QContext.from_t(args.t, base_alphas[:r])
-        builder = _defect_builder(args.inject_defect) if args.inject_defect else None
-        suites = _suites_for(args.suite, r)
-        for suite in suites:
-            for entry in _run_suite(suite, ctx, args.nmax, builder):
-                checks.append(entry)
-                failed = failed or entry["status"] != "pass"
+        ctx = _make_context(args, base_alphas[:r])
+        checks += _run_checks(args.suite, ctx, args.nmax, builder)
+    failed = any(entry["status"] != "pass" for entry in checks)
 
     report = {
         "command": "verify",
@@ -220,61 +233,39 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
-def _suites_for(selected: str, r: int):
-    if selected == "all":
-        suites = ["orthogonality", "raising", "lowering", "diffeq", "nn"]
-        if r == 2:
-            suites.append("stepline")
-        return suites
-    if selected == "stepline" and r != 2:
-        return []
-    return [selected]
-
-
-def _run_suite(suite: str, ctx: QContext, nmax: int, builder):
-    r = ctx.r
-    for parts in _grid(r, nmax):
-        index = MultiIndex(parts)
-        if suite == "orthogonality":
-            start = time.perf_counter()
-            defining, boundary = relations.orthogonality_residuals(index, ctx, builder=builder)
-            bad = [key for key, value in defining.items() if value != 0]
-            bad += [("boundary", i) for i, value in boundary.items() if value == 0]
-            yield _entry(suite, ctx, index, None, not bad, len(bad), start)
-        elif suite == "raising":
-            for i in range(r):
-                start = time.perf_counter()
-                residual = relations.verify_raising(index, i, ctx, builder=builder)
-                yield _entry(suite, ctx, index, i, residual.is_zero, len(residual.coeffs), start)
-        elif suite == "lowering":
-            start = time.perf_counter()
-            residual = relations.verify_lowering(index, ctx, builder=builder)
-            yield _entry(suite, ctx, index, None, residual.is_zero, len(residual.coeffs), start)
-        elif suite == "diffeq":
-            start = time.perf_counter()
-            residual = relations.diff_eq_residual(index, ctx, builder=builder)
-            yield _entry(suite, ctx, index, None, residual.is_zero, len(residual.coeffs), start)
-        elif suite == "nn":
-            for k in range(r):
-                start = time.perf_counter()
-                residual = relations.verify_nn_recurrence(index, k, ctx, builder=builder)
-                yield _entry(suite, ctx, index, k, residual.is_zero, len(residual.coeffs), start)
-        elif suite == "stepline":
-            n1, n2 = parts
-            if not relations.stepline_valid(n1, n2):
+def _run_checks(selected: str, ctx: QContext, nmax: int, builder):
+    entries = []
+    for suite, verifier, per_component in CHECKS:
+        if selected not in ("all", suite) or (suite == "stepline" and ctx.r != 2):
+            continue
+        for parts in itertools.product(range(nmax + 1), repeat=ctx.r):
+            if suite == "stepline" and not relations.stepline_valid(*parts):
                 continue
-            start = time.perf_counter()
-            residual = relations.verify_stepline(n1, n2, ctx, builder=builder)
-            yield _entry(suite, ctx, index, None, residual.is_zero, len(residual.coeffs), start)
+            index = MultiIndex(parts)
+            operands = parts if suite == "stepline" else (index,)
+            for component in range(ctx.r) if per_component else (None,):
+                start = time.perf_counter()
+                extra = () if component is None else (component,)
+                result = getattr(relations, verifier)(*operands, *extra, ctx, builder=builder)
+                entries.append(_entry(suite, ctx, index, component, result, start))
+    return entries
 
 
-def _entry(identity, ctx, index, component, passed, residual_terms, start):
+def _entry(identity, ctx, index, component, result, start):
+    """The report entry of one check; `result` is a residual polynomial, or
+    the (defining, boundary) functionals of orthogonality."""
+    if isinstance(result, LatticePoly):
+        terms = len(result.coeffs)
+    else:
+        defining, boundary = result
+        terms = sum(value != 0 for value in defining.values())
+        terms += sum(value == 0 for value in boundary.values())
     entry = {
         "identity": identity,
         "r": ctx.r,
         "n": list(index.parts),
-        "status": "pass" if passed else "fail",
-        "residual_terms": residual_terms,
+        "status": "fail" if terms else "pass",
+        "residual_terms": terms,
         "ms": round(1000 * (time.perf_counter() - start), 3),
     }
     if component is not None:
@@ -288,7 +279,7 @@ def _entry(identity, ctx, index, component, passed, residual_terms, start):
 
 def cmd_zeros(args) -> int:
     index = _parse_index(args.n)
-    ctx = _make_context(args, len(index))
+    ctx = _make_context(args, _alphas(args, len(index), f"multi-index {args.n}"))
     ctx.require_convergent_measures()
     # coefficients are computed in exact rational arithmetic (the polynomial
     # depends only on q and the alphas, all exactly representable) and the
@@ -298,13 +289,10 @@ def cmd_zeros(args) -> int:
     # from the differences cancels against the t^(-n) of its constant.
     poly = build(index, _exact_shadow(ctx), method="rodrigues").poly
     roots = zeros.find_positive_roots(poly.coeffs, index.weight)
-    document = {
-        "q": format_scalar(ctx.q),
-        "alphas": [format_scalar(a) for a in ctx.alphas],
-        "multi_index": list(index.parts),
+    _emit({
+        **_context_fields(ctx, index, with_t=False),
         "roots": [format_scalar(root) for root in roots],
-    }
-    _emit(document)
+    })
     return EXIT_OK
 
 
@@ -332,7 +320,7 @@ def _exact_shadow(ctx: QContext) -> QContext:
 def cmd_limit(args) -> int:
     index = _parse_index(args.n)
     r = len(index)
-    alpha_strs = args.alpha or list(DEFAULT_ALPHAS[:r])
+    alpha_strs = _alphas(args, r, f"multi-index {args.n}")
     alphas_exact = [Fraction(a) for a in alpha_strs]
     classical_poly = classical.classical_build(index, alphas_exact)
     classical_coeffs = [float(c) for c in classical_poly.coeffs]

@@ -184,7 +184,7 @@ def build_rodrigues(index, ctx: QContext) -> QCharlierPoly:
 
 @scoped_memo
 def _rodrigues_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
-    fn = WeightedLatticeFn(ctx.one(), LatticePoly.one(), factorial_denominator=True)
+    fn = WeightedLatticeFn(ctx.one(), LatticePoly.one())
     for i, ni in enumerate(index):
         fn = rodrigues_elementary(fn, ctx.alphas[i], ni, ctx)
     if ctx.exact and fn.base != 1:

@@ -1,10 +1,10 @@
 """Difference-operator algebra on a closed class of lattice functions.
 
-The carrier type is f(s) = c^s * P(x(s)) or c^s * P(x(s)) / [s]_q!
-(`WeightedLatticeFn`), which is closed under the covariant backward
-difference nabla = (f(s) - f(s-1)) / q^(s-1/2), multiplication by x(s),
-multiplication by geometric factors d^s, and the backward shift.  On pure
-polynomials the module provides the covariant forward difference
+The carrier type is f(s) = c^s * P(x(s)) / [s]_q! (`WeightedLatticeFn`),
+which is closed under the covariant backward difference
+nabla = (f(s) - f(s-1)) / q^(s-1/2), multiplication by x(s), multiplication
+by geometric factors d^s, and the backward shift.  On pure polynomials the
+module provides the covariant forward difference
 Delta P = (P(s+1) - P(s)) / q^(s-1/2) and the degree-raising operator action
 
     q^(power + 1/2) * [ (alpha - X) P(X) + X (P(X) - P((X-1)/q)) ],
@@ -37,11 +37,10 @@ from .qkernels import (
 
 @dataclass(frozen=True)
 class WeightedLatticeFn:
-    """f(s) = base^s * poly(x(s)), divided by [s]_q! when the flag is set."""
+    """f(s) = base^s * poly(x(s)) / [s]_q!."""
 
     base: Scalar
     poly: LatticePoly
-    factorial_denominator: bool = False
 
     def __post_init__(self):
         if self.poly.basis != MONOMIAL:
@@ -50,23 +49,20 @@ class WeightedLatticeFn:
             raise ValueError("geometric base must be nonzero")
 
     def eval_at(self, s: int, ctx: QContext) -> Scalar:
-        """Exact value at integer s (zero for s < 0 when the factorial flag
-        is set, matching 1/Gamma_q vanishing at nonpositive integers)."""
-        if self.factorial_denominator and s < 0:
+        """Exact value at integer s (zero for s < 0, matching 1/Gamma_q
+        vanishing at nonpositive integers)."""
+        if s < 0:
             return ctx.zero()
-        value = self.base ** s * self.poly.evaluate(x_of(s, ctx))
-        if self.factorial_denominator:
-            value /= q_factorial(s, ctx)
-        return value
+        return self.base ** s * self.poly.evaluate(x_of(s, ctx)) / q_factorial(s, ctx)
 
     def times_x(self) -> "WeightedLatticeFn":
-        return WeightedLatticeFn(self.base, self.poly.times_x(), self.factorial_denominator)
+        return WeightedLatticeFn(self.base, self.poly.times_x())
 
     def times_geometric(self, d: Scalar) -> "WeightedLatticeFn":
-        return WeightedLatticeFn(self.base * d, self.poly, self.factorial_denominator)
+        return WeightedLatticeFn(self.base * d, self.poly)
 
     def scale(self, c: Scalar) -> "WeightedLatticeFn":
-        return WeightedLatticeFn(self.base, self.poly.scale(c), self.factorial_denominator)
+        return WeightedLatticeFn(self.base, self.poly.scale(c))
 
 
 def shift_poly(p: LatticePoly, direction: int, ctx: QContext) -> LatticePoly:
@@ -79,22 +75,19 @@ def shift_poly(p: LatticePoly, direction: int, ctx: QContext) -> LatticePoly:
 
 
 def shift_fn(f: WeightedLatticeFn, direction: int, ctx: QContext) -> WeightedLatticeFn:
-    """Shift of the whole lattice function.  With the factorial flag only the
-    backward shift stays in the class (the forward one would need 1/[s+1]_q)."""
-    if not f.factorial_denominator:
-        return WeightedLatticeFn(f.base, shift_poly(f.poly, direction, ctx).scale(
-            f.base if direction == 1 else 1 / f.base), False)
+    """Shift of the whole lattice function.  Only the backward shift stays in
+    the class (the forward one would need 1/[s+1]_q)."""
     if direction == -1:
         # f(s-1) = (1/c) * c^s * X * P((X-1)/q) / [s]_q!
         moved = shift_poly(f.poly, -1, ctx).times_x().scale(1 / f.base)
-        return WeightedLatticeFn(f.base, moved, True)
-    raise ValueError("forward shift leaves the factorial-flagged class")
+        return WeightedLatticeFn(f.base, moved)
+    raise ValueError("forward shift leaves the class")
 
 
 def nabla(f: WeightedLatticeFn, ctx: QContext) -> WeightedLatticeFn:
     """Covariant backward difference (f(s) - f(s-1)) / q^(s-1/2)."""
     newp = (f.poly - shift_fn(f, -1, ctx).poly).scale(ctx.t)
-    return WeightedLatticeFn(f.base / ctx.q, newp, f.factorial_denominator)
+    return WeightedLatticeFn(f.base / ctx.q, newp)
 
 
 def delta_cov(p: LatticePoly, ctx: QContext) -> LatticePoly:
@@ -161,12 +154,11 @@ def nabla_power_expansion(f: WeightedLatticeFn, m: int, ctx: QContext) -> Weight
         shifted = f.poly
         for _ in range(k):
             shifted = shift_poly(shifted, -1, ctx)
-        if f.factorial_denominator:
-            # 1/[s-k]! = [s]^(k) / [s]!
-            shifted = shifted * falling_factorial_poly(k, ctx)
+        # 1/[s-k]! = [s]^(k) / [s]!
+        shifted = shifted * falling_factorial_poly(k, ctx)
         total = total + shifted.scale(coeff)
     total = total.scale(ctx.t ** m)
-    return WeightedLatticeFn(f.base * ctx.q ** (-m), total, f.factorial_denominator)
+    return WeightedLatticeFn(f.base * ctx.q ** (-m), total)
 
 
 def raising_apply(p: LatticePoly, alpha: Scalar, power: int, ctx: QContext) -> LatticePoly:

@@ -155,9 +155,6 @@ class QContext:
     def one(self) -> Scalar:
         return Fraction(1) if self.exact else 1.0
 
-    def scalar(self, value) -> Scalar:
-        return Fraction(value) if self.exact else float(value)
-
 
 @dataclass(frozen=True)
 class MultiIndex:
@@ -550,12 +547,12 @@ def weight_masses(i: int, ctx: QContext) -> Iterator[Scalar]:
         mass = mass * step / q_number(s, ctx)
 
 
-def weight_partial_sums(i: int, m: int, ctx: QContext, tail_bound: float = 1e-14):
+def weight_partial_sums(i: int, m: int, ctx: QContext):
     """Truncated sums (sum_s [s]^(m) w_i(s), sum_s w_i(s)) for numeric checks,
     in floats over the masses of `weight_masses`.
 
     Truncates once the geometric tail estimate of the remaining terms drops
-    below `tail_bound`; requires convergent measure semantics.
+    below 1e-14; requires convergent measure semantics.
     """
     ctx.require_convergent_measures()
     q = float(ctx.q)
@@ -576,7 +573,7 @@ def weight_partial_sums(i: int, m: int, ctx: QContext, tail_bound: float = 1e-14
         next_term = next(masses)
         # the term ratio alpha_i q / [s+1]_q only falls from here on
         ratio = next_term / term
-        if s > m and ratio < 1 and next_term * falling_bound / (1 - ratio) < tail_bound:
+        if s > m and ratio < 1 and next_term * falling_bound / (1 - ratio) < 1e-14:
             break
         term = next_term
     return total_m, total_0

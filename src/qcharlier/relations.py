@@ -4,8 +4,10 @@ Every verifier builds its operands with the linear-system constructor (the
 oracle), so a defect in the operator pipelines cannot hide itself; an
 optional `builder` hook swaps that source out (used by the recurrence
 constructor, by independence experiments, and by the negative-control
-machinery that corrupts one polynomial on purpose).  Each `verify_*` returns
-a residual `LatticePoly` that must be identically zero.
+machinery that corrupts one polynomial on purpose).  With a builder given,
+every polynomial a verifier reads comes from it, those behind its
+coefficients included.  Each `verify_*` returns a residual `LatticePoly`
+that must be identically zero.
 
 Coefficient conventions.  The raising identity and the Rodrigues machinery
 hold with simple closed-form constants.  The lowering expansion, the
@@ -32,6 +34,7 @@ from .qkernels import (
     QContext,
     Scalar,
     binom2,
+    falling_mul_falling,
     q_number,
     to_falling_basis,
     x_of,
@@ -320,51 +323,38 @@ class SteplineCoeffs:
     d: Scalar
 
 
-def stepline_coeffs(n1: int, n2: int, ctx: QContext) -> SteplineCoeffs:
-    """Coefficients computed from the normalized falling coefficients c^(j):
+def stepline_coeffs(
+    n1: int, n2: int, ctx: QContext, builder: Optional[Builder] = None
+) -> SteplineCoeffs:
+    """Coefficients peeled off the falling-basis expansion of the relation.
 
-        b = q^N (q^-1 c^(N-1)_{n1,n2} - c^(N)_{n1,n2+1}) + x(N)
-        c = q^N (q^-2 c^(N-2)_{n1,n2} + q^-N x(N-1) c^(N-1)_{n1,n2}
-                 - q^-N b c^(N-1)_{n1,n2} - c^(N-1)_{n1,n2+1})
-        d = q^N (q^-3 c^(N-3)_{n1,n2} + q^-N x(N-2) c^(N-2)_{n1,n2}
-                 - q^-N c c^(N-2)_{n1,n2-1} - q^-N b c^(N-2)_{n1,n2}
-                 - c^(N-2)_{n1,n2+1})
+    With every P normalized to top falling coefficient 1 and N = n1 + n2,
+    the remainder R = X P_{n1,n2} - q^N P_{n1,n2+1} has degree N; then
 
-    with N = n1+n2 and out-of-range c^(j) read as zero.  These are exactly
-    the top-four falling-coefficient matching rows of the relation."""
+        b = R_N,  R -= b P_{n1,n2};  c = R_{N-1},  R -= c P_{n1,n2-1};
+        d = R_{N-2},
+
+    each step clearing the top coefficient of R against a polynomial of that
+    degree.  c is read only when n2 >= 1 and d only when n1, n2 >= 1; on
+    the other cells they are zero (their polynomials are absent)."""
     if ctx.r != 2:
         raise ValueError(f"step-line relation needs r = 2, context has r = {ctx.r}")
+    build = builder or _oracle
     N = n1 + n2
-    q = ctx.q
 
-    here = _normalized_falling(MultiIndex((n1, n2)), ctx)
-    up = _normalized_falling(MultiIndex((n1, n2 + 1)), ctx)
-    down2 = _normalized_falling(MultiIndex((n1, n2 - 1)), ctx) if n2 > 0 else {}
+    def p(m1, m2):
+        poly = build(MultiIndex((m1, m2)), ctx)
+        return to_falling_basis(poly, ctx).scale(ctx.q ** (-binom2(m1 + m2)))
 
-    def g(table, j):
-        return table.get(j, ctx.zero())
-
-    b = q ** N * (g(here, N - 1) / q - g(up, N)) + x_of(N, ctx)
-    c = q ** N * (
-        g(here, N - 2) / q ** 2
-        + g(here, N - 1) * x_of(N - 1, ctx) / q ** N
-        - b * g(here, N - 1) / q ** N
-        - g(up, N - 1)
-    )
-    d = q ** N * (
-        g(here, N - 3) / q ** 3
-        + g(here, N - 2) * x_of(N - 2, ctx) / q ** N
-        - c * g(down2, N - 2) / q ** N
-        - b * g(here, N - 2) / q ** N
-        - g(up, N - 2)
-    )
+    here = p(n1, n2)
+    rest = falling_mul_falling(here, 1, ctx) - p(n1, n2 + 1).scale(ctx.q ** N)
+    b = rest.coefficient(N)
+    rest = rest - here.scale(b)
+    c = rest.coefficient(N - 1) if n2 >= 1 else ctx.zero()
+    d = ctx.zero()
+    if n1 >= 1 and n2 >= 1:
+        d = (rest - p(n1, n2 - 1).scale(c)).coefficient(N - 2)
     return SteplineCoeffs(b=b, c=c, d=d)
-
-
-def _normalized_falling(index: MultiIndex, ctx: QContext) -> dict:
-    fall = to_falling_basis(build_linear_system(index, ctx).poly, ctx)
-    scale = ctx.q ** (-binom2(index.weight))
-    return {j: c * scale for j, c in enumerate(fall.coeffs)}
 
 
 def stepline_valid(n1: int, n2: int) -> bool:
@@ -380,11 +370,9 @@ def verify_stepline(
 ) -> LatticePoly:
     """Residual of the 4-term relation (zero expected on the valid domain;
     on the excluded cells it is a nonzero constant, kept as is)."""
-    if ctx.r != 2:
-        raise ValueError(f"step-line relation needs r = 2, context has r = {ctx.r}")
     build = builder or _oracle
     N = n1 + n2
-    coeffs = stepline_coeffs(n1, n2, ctx)
+    coeffs = stepline_coeffs(n1, n2, ctx, builder=builder)
 
     def p(m1, m2):
         if m1 < 0 or m2 < 0:

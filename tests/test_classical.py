@@ -49,6 +49,13 @@ def test_invalid_paths_and_parameters():
         classical_build((1,), (Fraction(-1),))
 
 
+def test_path_components_out_of_range():
+    # a component outside 0..r-1 must not be read modulo r or index past it
+    for path in ([-1, 0], [0, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            classical_build((1, 1), A2, path=path)
+
+
 @pytest.mark.parametrize(
     "parts",
     [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1)],

@@ -127,6 +127,13 @@ def test_verify_rejects_bad_rmax(capsys):
     assert "rmax" in err
 
 
+def test_verify_rejects_negative_nmax(capsys):
+    code, out, err = run_cli(capsys, "verify", "--nmax", "-1")
+    assert code == 2
+    assert out == ""
+    assert "nmax" in err
+
+
 def test_zeros_unit_index(capsys):
     code, out, _ = run_cli(capsys, "zeros", "--q", "0.81", "--alpha", "0.5", "--n", "1")
     assert code == 0

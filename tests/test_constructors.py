@@ -123,7 +123,7 @@ def test_normalized_moment_against_truncated_series(ctx2):
     # ratio of truncated weighted sums reproduces (alpha q)^m to 1e-10
     for i in range(2):
         for m in range(5):
-            num, den = weight_partial_sums(i, m, ctx2, tail_bound=1e-14)
+            num, den = weight_partial_sums(i, m, ctx2)
             assert abs(num / den - float(normalized_moment(i, m, ctx2))) < 1e-10
 
 

@@ -30,8 +30,8 @@ bases = st.fractions(min_value=Fraction(1, 5), max_value=Fraction(4), max_denomi
 )
 
 
-def wlf(base, coeffs, flag):
-    return WeightedLatticeFn(base, LatticePoly.monomial(coeffs), flag)
+def wlf(base, coeffs):
+    return WeightedLatticeFn(base, LatticePoly.monomial(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -56,21 +56,17 @@ def test_shift_round_trip(coeffs):
 
 
 def test_shift_fn_pointwise(ctx2):
-    f = wlf(Fraction(3, 2), (1, 2, 1), True)
+    f = wlf(Fraction(3, 2), (1, 2, 1))
     down = shift_fn(f, -1, ctx2)
     for s in range(0, 7):
         assert down.eval_at(s, ctx2) == f.eval_at(s - 1, ctx2)
-    g = wlf(Fraction(3, 2), (1, 2, 1), False)
-    up = shift_fn(g, 1, ctx2)
-    for s in range(-3, 7):
-        assert up.eval_at(s, ctx2) == g.eval_at(s + 1, ctx2)
     with pytest.raises(ValueError):
         shift_fn(f, 1, ctx2)
 
 
 def test_class_closed_under_x_and_geometric_multiplication(ctx2):
     # remaining closure operations: multiply by x(s) and by d^s
-    f = wlf(Fraction(3, 2), (2, 1), True)
+    f = wlf(Fraction(3, 2), (2, 1))
     d = Fraction(5, 7)
     for s in range(0, 7):
         assert f.times_x().eval_at(s, ctx2) == x_of(s, ctx2) * f.eval_at(s, ctx2)
@@ -83,32 +79,27 @@ def test_class_closed_under_x_and_geometric_multiplication(ctx2):
 # ---------------------------------------------------------------------------
 
 def test_nabla_on_reciprocal_factorial(ctx2, q2):
-    f = wlf(Fraction(1), (1,), True)
+    f = wlf(Fraction(1), (1,))
     out = nabla(f, ctx2)
     assert out.base == 1 / q2
     assert out.poly.coeffs == (ctx2.t, -ctx2.t)
-    assert out.factorial_denominator
 
 
 def test_nabla_on_geometric(ctx2, q2):
+    # c^s / [s]! maps to (c/q)^s t (1 - X/c) / [s]!
     c = Fraction(5, 4)
-    f = wlf(c, (1,), False)
+    f = wlf(c, (1,))
     out = nabla(f, ctx2)
     assert out.base == c / q2
-    assert out.poly.coeffs == (ctx2.t * (c - 1) / c,)
-
-
-def test_nabla_kills_constants(ctx2):
-    f = wlf(Fraction(1), (Fraction(4, 3),), False)
-    assert nabla(f, ctx2).poly.is_zero
+    assert out.poly.coeffs == (ctx2.t, -ctx2.t / c)
 
 
 @settings(max_examples=40)
-@given(bases, coeff_lists, st.booleans())
-def test_nabla_pointwise(base, coeffs, flag):
+@given(bases, coeff_lists)
+def test_nabla_pointwise(base, coeffs):
     # symbolic rule == direct difference quotient at integer lattice points
     ctx = QContext.from_t("9/10", ["1/2"])
-    f = wlf(base, coeffs, flag)
+    f = wlf(base, coeffs)
     out = nabla(f, ctx)
     for s in range(0, 7):
         direct = (f.eval_at(s, ctx) - f.eval_at(s - 1, ctx)) / ctx.q ** s * ctx.t
@@ -116,12 +107,12 @@ def test_nabla_pointwise(base, coeffs, flag):
 
 
 @settings(max_examples=30)
-@given(bases, coeff_lists, st.booleans())
-def test_nabla_commutes_with_forward_shift_pointwise(base, coeffs, flag):
+@given(bases, coeff_lists)
+def test_nabla_commutes_with_forward_shift_pointwise(base, coeffs):
     # evaluate nabla(f) at s+1 two ways: symbolically via the rules, and
     # directly from lattice values of f
     ctx = QContext.from_t("9/10", ["1/2"])
-    f = wlf(base, coeffs, flag)
+    f = wlf(base, coeffs)
     out = nabla(f, ctx)
     for s in range(0, 8):
         direct = (f.eval_at(s + 1, ctx) - f.eval_at(s, ctx)) / ctx.q ** (s + 1) * ctx.t
@@ -172,16 +163,15 @@ def test_delta_cov_pointwise(coeffs):
 # ---------------------------------------------------------------------------
 
 def test_rodrigues_elementary_identity_at_zero(ctx2):
-    f = wlf(Fraction(1), (1, 2), True)
+    f = wlf(Fraction(1), (1, 2))
     assert rodrigues_elementary(f, ctx2.alphas[0], 0, ctx2) == f
 
 
 def test_rodrigues_elementary_single_step(ctx2, q2):
     a = ctx2.alphas[0]
-    f = wlf(Fraction(1), (1,), True)
+    f = wlf(Fraction(1), (1,))
     out = rodrigues_elementary(f, a, 1, ctx2)
     assert out.base == 1
-    assert out.factorial_denominator
     assert out.poly.coeffs == (ctx2.t, -ctx2.t / (a * q2))
 
 
@@ -192,7 +182,7 @@ def test_rodrigues_elementary_single_step(ctx2, q2):
 )
 def test_rodrigues_factors_commute(n1, n2):
     ctx = QContext.from_t("9/10", ["1/2", "3/5"])
-    f = wlf(Fraction(1), (1,), True)
+    f = wlf(Fraction(1), (1,))
     one_way = rodrigues_elementary(
         rodrigues_elementary(f, ctx.alphas[0], n1, ctx), ctx.alphas[1], n2, ctx
     )
@@ -203,18 +193,18 @@ def test_rodrigues_factors_commute(n1, n2):
 
 
 def test_rodrigues_base_preserved(ctx2):
-    f = wlf(Fraction(7, 3), (2, 1), True)
+    f = wlf(Fraction(7, 3), (2, 1))
     for n in range(4):
         assert rodrigues_elementary(f, ctx2.alphas[1], n, ctx2).base == f.base
 
 
 @settings(max_examples=25)
-@given(bases, coeff_lists, st.booleans(), st.integers(min_value=0, max_value=4))
-def test_power_expansion_matches_iteration(base, coeffs, flag, m):
+@given(bases, coeff_lists, st.integers(min_value=0, max_value=4))
+def test_power_expansion_matches_iteration(base, coeffs, m):
     # the closed binomial expansion of the m-fold difference is an
     # independent implementation; the two must agree exactly
     ctx = QContext.from_t("9/10", ["1/2"])
-    f = wlf(base, coeffs, flag)
+    f = wlf(base, coeffs)
     iterated = f
     for _ in range(m):
         iterated = nabla(iterated, ctx)
@@ -225,7 +215,7 @@ def test_power_expansion_matches_iteration(base, coeffs, flag, m):
 @given(st.integers(min_value=0, max_value=4))
 def test_rodrigues_expanded_path_agrees(n):
     ctx = QContext.from_t("9/10", ["1/2", "3/5"])
-    f = wlf(Fraction(1), (1,), True)
+    f = wlf(Fraction(1), (1,))
     assert rodrigues_elementary_expanded(f, ctx.alphas[0], n, ctx) == rodrigues_elementary(
         f, ctx.alphas[0], n, ctx
     )

@@ -12,6 +12,7 @@ from qcharlier import (
     QContext,
     ValidationError,
     build_linear_system,
+    build_rodrigues,
     diff_eq_residual,
     lowering_coeffs,
     nn_recurrence_coeffs,
@@ -22,6 +23,7 @@ from qcharlier import (
     verify_raising,
     verify_stepline,
 )
+from qcharlier import relations
 from qcharlier.latticefn import delta_cov
 from qcharlier.relations import (
     diff_eq_residual_single_family,
@@ -255,6 +257,29 @@ def test_stepline_residual_nonzero_off_domain(ctx2):
 def test_stepline_requires_r2(ctx3):
     with pytest.raises(ValueError):
         stepline_coeffs(1, 1, ctx3)
+
+
+def test_builder_replaces_the_oracle_in_every_verifier(ctx2, monkeypatch):
+    # a given builder is the only source of polynomials, coefficients included
+    def refuse(*args, **kwargs):
+        raise AssertionError("verifier reached the linear-system oracle")
+
+    monkeypatch.setattr(relations, "build_linear_system", refuse)
+    monkeypatch.setattr(relations, "_oracle", refuse)
+
+    def builder(index, context):
+        return build_rodrigues(index, context).poly
+
+    index = MultiIndex((2, 1))
+    defining, boundary = orthogonality_residuals(index, ctx2, builder=builder)
+    assert all(value == 0 for value in defining.values())
+    assert all(value != 0 for value in boundary.values())
+    for i in range(2):
+        assert verify_raising(index, i, ctx2, builder=builder).is_zero
+        assert verify_nn_recurrence(index, i, ctx2, builder=builder).is_zero
+    assert verify_lowering(index, ctx2, builder=builder).is_zero
+    assert diff_eq_residual(index, ctx2, builder=builder).is_zero
+    assert verify_stepline(2, 1, ctx2, builder=builder).is_zero
 
 
 # ---------------------------------------------------------------------------
