@@ -17,6 +17,9 @@ orthogonality conditions can see.
 Construction routes:
 
 * `build_linear_system` - ground truth; encodes only the definition above.
+  On exact contexts it solves with LU factors that `_factors` borders from
+  index to index along the lattice (the same system, factored
+  incrementally); on float contexts with pivoted elimination.
 * `build_rodrigues` - weight-conjugated iterated differences with the
   closed-form normalizing constant.
 * `build_explicit_r2` - finite double sum in the falling basis (r = 2).
@@ -122,14 +125,19 @@ def _linear_system_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
         return LatticePoly.one()
     scope = memo_scope(ctx.q, ctx.exact)
     lead = ctx.q ** binom2(n)
-    top = LatticePoly.falling((ctx.zero(),) * n + (lead,))
-    rows = []
-    rhs = []
-    for i, ni in enumerate(index):
-        for k in range(ni):
-            rows.append([_unit_pairing(ctx.alphas[i], j, k, scope) for j in range(n)])
-            rhs.append(-moment_pairing(top, k, i, ctx))
-    solution = _solve(rows, rhs, ctx)
+    if ctx.exact:
+        rhs = [-lead * _unit_pairing(ctx.alphas[i], n, k, scope) for i, k in _rows(index)]
+        solution = _lu_solve(_factors(ctx, index), rhs)
+    else:
+        # floats keep the pivoted elimination and its operation order, which
+        # the recorded `gen --q ... --method system` output pins bit for bit
+        top = LatticePoly.falling((ctx.zero(),) * n + (lead,))
+        rows = [
+            [_unit_pairing(ctx.alphas[i], j, k, scope) for j in range(n)]
+            for i, k in _rows(index)
+        ]
+        rhs = [-moment_pairing(top, k, i, ctx) for i, k in _rows(index)]
+        solution = _solve(rows, rhs)
     fall = LatticePoly.falling(tuple(solution) + (lead,))
     poly = from_falling_basis(fall, ctx)
     if ctx.exact and (poly.degree != n or poly.leading != 1):
@@ -137,19 +145,92 @@ def _linear_system_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     return poly
 
 
-def _solve(rows, rhs, ctx: QContext):
-    """Dense Gaussian elimination; exact pivoting on rationals, partial
-    pivoting by magnitude on floats.  Raises on a singular system."""
+def _rows(index: MultiIndex):
+    """The (component i, order k) of each orthogonality condition, in row order."""
+    return [(i, k) for i, ni in enumerate(index) for k in range(ni)]
+
+
+def _factors(ctx: QContext, index: MultiIndex):
+    """LU factors, without pivoting, of the exact oracle matrix of `index`
+    (rows `_rows(index)`, columns j < |n|, entries Lambda_i([s]^(j)[s]^(k))).
+
+    Returns (lower, upper): row m of L left of its unit diagonal, and column
+    m of U down to its diagonal.  Removing the last row and column of the
+    matrix of `index` leaves that of its parent index.down(p), p the last
+    nonzero component, so the factors border the parent's.  With u the new
+    column over the parent's rows, v the new row over the parent's columns
+    and a the corner entry, the new column of U is y = L^-1 u, the new row
+    of L is w with w U = v, and the new pivot is a - w.y.  No row is
+    swapped, so the rows keep the order of `_rows`.  The walk goes down to
+    the deepest ancestor in the memo scope, then borders back up, storing
+    each index on the way.  A zero pivot means a singular leading block,
+    which the ratio guard rules out; it raises ConstructionError naming the
+    multi-index and the row (i, k), i from 1.
+    """
+    scope = memo_scope(ctx.q, ctx.exact)
+    memo = scope.memos.setdefault("_factors", {})
+    chain = []
+    while (ctx, index) not in memo and index.weight:
+        chain.append(index)
+        index = index.down(_rows(index)[-1][0])
+    lower, upper = memo.get((ctx, index), ((), ()))
+    for index in reversed(chain):
+        rows = _rows(index)
+        p, k = rows[-1]
+        alpha, j = ctx.alphas[p], len(rows) - 1
+        y = _forward(lower, [_unit_pairing(ctx.alphas[i], j, ki, scope) for i, ki in rows[:-1]])
+        w = []
+        for m, col in enumerate(upper):
+            acc = _unit_pairing(alpha, m, k, scope)
+            for wl, ul in zip(w, col):
+                acc -= wl * ul
+            w.append(acc / col[m])
+        pivot = _unit_pairing(alpha, j, k, scope)
+        for wl, yl in zip(w, y):
+            pivot -= wl * yl
+        if pivot == 0:
+            raise ConstructionError(
+                f"singular orthogonality system for {index.parts}: the pivot of row "
+                f"(i, k) = ({p + 1}, {k}) vanishes (degenerate parameters)"
+            )
+        lower, upper = lower + (tuple(w),), upper + (tuple(y) + (pivot,),)
+        memo[(ctx, index)] = (lower, upper)
+    return lower, upper
+
+
+def _forward(lower, b):
+    """z with L z = b, L unit lower triangular."""
+    z = []
+    for row, acc in zip(lower, b):
+        for l, c in enumerate(row):
+            acc -= c * z[l]
+        z.append(acc)
+    return z
+
+
+def _lu_solve(factors, b):
+    """x with L U x = b: one forward pass, then one back pass over the
+    columns of U."""
+    lower, upper = factors
+    z = _forward(lower, b)
+    x = [None] * len(z)
+    for m in range(len(z) - 1, -1, -1):
+        col = upper[m]
+        x[m] = z[m] / col[m]
+        for l in range(m):
+            z[l] -= col[l] * x[m]
+    return x
+
+
+def _solve(rows, rhs):
+    """Dense Gaussian elimination on floats, with partial pivoting by
+    magnitude; the exact oracle solves through `_factors` instead.  Raises
+    on a singular system."""
     n = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
     for col in range(n):
-        if ctx.exact:
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        else:
-            pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-            if aug[pivot][col] == 0:
-                pivot = None
-        if pivot is None:
+        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        if aug[pivot][col] == 0:
             raise ConstructionError("singular orthogonality system (degenerate parameters)")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         for r in range(n):

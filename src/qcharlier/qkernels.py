@@ -420,10 +420,11 @@ class MemoScope:
     falling-factorial polynomials [s]^(k) and the falling products
     [s]^(j)[s]^(k).  What depends on (alpha, q): the moment powers
     (alpha q)^m and, in `pairings`, the unit pairings
-    Lambda([s]^(j)[s]^(k)).  `memos` holds the per-route polynomial memos,
-    keyed by context.  Every entry is computed by the operations the
-    uncached code would run, in the same order, so cached values equal
-    uncached ones bit for bit, floats included.
+    Lambda([s]^(j)[s]^(k)).  `memos` holds the per-route polynomial memos
+    and the exact oracle's LU factors, keyed by (context, multi-index).
+    Every entry is computed by the operations the uncached code would run,
+    in the same order, so cached values equal uncached ones bit for bit,
+    floats included.
     """
 
     def __init__(self, q: Scalar, exact: bool):

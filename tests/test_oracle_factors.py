@@ -1,0 +1,97 @@
+"""The exact oracle's bordered LU factorization: it must equal the dense
+Gauss-Jordan reference, raise where the reference raises, name the place of
+a vanishing pivot, and not depend on the order in which the memo scope was
+filled."""
+
+import itertools
+import time
+from fractions import Fraction
+
+import pytest
+
+from dense_reference import dense_oracle
+from qcharlier import MultiIndex, QContext, build_linear_system
+from qcharlier.constructors import ConstructionError, _factors
+
+ALPHAS = ("1/2", "3/5", "7/10")
+GRID2 = list(itertools.product(range(7), repeat=2))  # the acceptance grids
+GRID3 = list(itertools.product(range(5), repeat=3))
+
+
+@pytest.mark.parametrize("t", ["9/10", "4/3"])
+def test_oracle_equals_dense_reference_on_acceptance_grids(t):
+    for alphas, grid in ((ALPHAS[:2], GRID2), (ALPHAS, GRID3)):
+        ctx = QContext.from_t(t, alphas)
+        for parts in grid:
+            assert build_linear_system(parts, ctx).poly == dense_oracle(parts, ctx), (t, parts)
+
+
+def _outcome(build, parts, ctx):
+    try:
+        return build(parts, ctx)
+    except ConstructionError:
+        return None
+
+
+def test_unguarded_grid_raises_where_reference_raises():
+    # alpha_2 = alpha_1 q^k breaks the ratio guard (k = 0 the distinctness
+    # guard), so some leading blocks are singular; the plain constructor
+    # skips validation
+    t, a = Fraction(1, 2), Fraction(1, 3)
+    raised = set()
+    for k in range(-3, 4):
+        ctx = QContext(t=t, q=t * t, alphas=(a, a * (t * t) ** k))
+        for parts in itertools.product(range(4), repeat=2):
+            oracle = _outcome(lambda p, c: build_linear_system(p, c).poly, parts, ctx)
+            assert oracle == _outcome(dense_oracle, parts, ctx), (k, parts)
+            if oracle is None:
+                raised.add((k, parts))
+    assert len(raised) == 36
+    assert len([key for key in raised if key[0] != 0]) == 27
+
+
+def test_singular_system_names_index_and_row():
+    t, a = Fraction(1, 2), Fraction(1, 3)
+    ctx = QContext(t=t, q=t * t, alphas=(a, a / (t * t)))
+    build_linear_system((1, 1), ctx)
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError) as info:
+        build_linear_system((1, 2), ctx)
+    assert time.perf_counter() - start < 1.0
+    assert "(1, 2)" in str(info.value)
+    assert "(i, k) = (2, 1)" in str(info.value)
+
+
+def test_factors_do_not_depend_on_cache_order(clear_caches):
+    targets = [
+        (QContext.from_t("9/10", ALPHAS[:2]), (3, 3)),
+        (QContext.from_t("9/10", ALPHAS), (2, 2, 2)),
+    ]
+    sweeps = [(ctx, GRID2 if ctx.r == 2 else GRID3) for ctx, _ in targets]
+
+    def results():
+        return [
+            (build_linear_system(parts, ctx).poly, _factors(ctx, MultiIndex(parts)))
+            for ctx, parts in targets
+        ]
+
+    clear_caches()
+    cold = results()
+    for order in (lambda grid: grid, reversed):
+        clear_caches()
+        for ctx, grid in sweeps:
+            for parts in order(grid):
+                build_linear_system(parts, ctx)
+        assert results() == cold
+
+
+def test_factors_border_the_cached_parent(clear_caches):
+    # (3,4) is (3,3) with one row and one column added: its factors reuse
+    # the cached rows of L and columns of U rather than recompute them
+    clear_caches()
+    ctx = QContext.from_t("9/10", ALPHAS[:2])
+    lower, upper = _factors(ctx, MultiIndex((3, 3)))
+    child_lower, child_upper = _factors(ctx, MultiIndex((3, 4)))
+    assert len(child_lower) == len(lower) + 1 and len(child_upper) == len(upper) + 1
+    assert all(a is b for a, b in zip(lower, child_lower))
+    assert all(a is b for a, b in zip(upper, child_upper))

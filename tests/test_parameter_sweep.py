@@ -1,6 +1,7 @@
 """Exact identities away from the fixed test point: hypothesis draws rational
 t = p/q on both sides of 1 and small rational weights, and every construction
-route and every verify suite must hold exactly there."""
+route, the dense reference solve and every verify suite must hold exactly
+there."""
 
 import itertools
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_oracle
 from qcharlier import QContext, ValidationError, build
 from qcharlier.cli import _run_checks
 
@@ -43,6 +45,7 @@ def check_sweep(t, alphas, methods):
     assume(ctx is not None)
     for parts in itertools.product(range(3), repeat=ctx.r):
         oracle = build(parts, ctx).poly
+        assert oracle == dense_oracle(parts, ctx), parts
         for method in methods:
             assert build(parts, ctx, method=method).poly == oracle, (method, parts)
     entries = _run_checks("all", ctx, 2, None)

@@ -207,13 +207,20 @@ def test_falling_mul_x_rewrite(ctx2, q2):
 
 
 def test_one_memo_scope_alive(clear_caches):
+    clear_caches()
     first = QContext.from_t("9/10", ["1/2", "3/5"])
     build_linear_system((2, 1), first)
+    # the oracle's LU factors live in the scope: the index and its chain of
+    # parents down to the first component
+    factors = memo_scope(first.q, first.exact).memos["_factors"]
+    assert set(factors) == {(first, MultiIndex(p)) for p in ((1, 0), (2, 0), (2, 1))}
     scope = weakref.ref(memo_scope(first.q, first.exact))
     second = QContext.from_t("4/3", ["1/2", "3/5"])
     build_linear_system((2, 1), second)
     gc.collect()
     assert scope() is None
+    # ... and die with it: the new scope factors from scratch
+    assert {ctx for ctx, _ in memo_scope(second.q, second.exact).memos["_factors"]} == {second}
     # the rule the benchmark applies between fixed op lists reaches every memo
     scope = weakref.ref(memo_scope(second.q, second.exact))
     clear_caches()
