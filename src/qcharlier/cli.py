@@ -235,19 +235,26 @@ def cmd_verify(args) -> int:
 
 def _run_checks(selected: str, ctx: QContext, nmax: int, builder):
     entries = []
-    for suite, verifier, per_component in CHECKS:
-        if selected not in ("all", suite) or (suite == "stepline" and ctx.r != 2):
-            continue
-        for parts in itertools.product(range(nmax + 1), repeat=ctx.r):
-            if suite == "stepline" and not relations.stepline_valid(*parts):
-                continue
-            index = MultiIndex(parts)
-            operands = parts if suite == "stepline" else (index,)
-            for component in range(ctx.r) if per_component else (None,):
-                start = time.perf_counter()
-                extra = () if component is None else (component,)
-                result = getattr(relations, verifier)(*operands, *extra, ctx, builder=builder)
-                entries.append(_entry(suite, ctx, index, component, result, start))
+    for check in CHECKS:
+        if selected in ("all", check[0]):
+            for parts in itertools.product(range(nmax + 1), repeat=ctx.r):
+                entries += _checks_at(check, ctx, MultiIndex(parts), builder)
+    return entries
+
+
+def _checks_at(check, ctx, index, builder):
+    """The report entries of one row of CHECKS at `index`; none where the
+    suite does not run (step-line off r = 2 or off its valid cells)."""
+    suite, verifier, per_component = check
+    if suite == "stepline" and (ctx.r != 2 or not relations.stepline_valid(*index.parts)):
+        return []
+    operands = index.parts if suite == "stepline" else (index,)
+    entries = []
+    for component in range(ctx.r) if per_component else (None,):
+        start = time.perf_counter()
+        extra = () if component is None else (component,)
+        result = getattr(relations, verifier)(*operands, *extra, ctx, builder=builder)
+        entries.append(_entry(suite, ctx, index, component, result, start))
     return entries
 
 

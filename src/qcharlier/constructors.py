@@ -23,7 +23,10 @@ Construction routes:
 * `build_rodrigues` - weight-conjugated iterated differences with the
   closed-form normalizing constant.
 * `build_explicit_r2` - finite double sum in the falling basis (r = 2).
-* `build_recurrence` - iterates the nearest-neighbor relation from C_0 = 1.
+* `build_recurrence` - iterates the nearest-neighbor relation from C_0 = 1;
+  on exact contexts in the falling basis, where multiplying by X is an
+  exact rewrite and each pairing reads the Gram table without a basis
+  change, converting only the result to monomials.
 
 All four agree coefficient-for-coefficient on exact contexts.
 """
@@ -35,6 +38,8 @@ from typing import Optional, Sequence
 
 from .latticefn import WeightedLatticeFn, rodrigues_elementary
 from .qkernels import (
+    FALLING,
+    MONOMIAL,
     LatticePoly,
     MemoScope,
     MultiIndex,
@@ -83,11 +88,24 @@ def normalized_moment(i: int, m: int, ctx: QContext) -> Scalar:
 
 
 def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
-    """Lambda_i( p * [s]^(k) ): expand the product in the falling basis and
-    contract with the normalized moments (alpha_i q)^m, read from the memo
-    scope of q."""
-    fall = falling_mul_falling(to_falling_basis(p, ctx), k, ctx)
-    return _contract(fall, ctx.alphas[i], memo_scope(ctx.q, ctx.exact))
+    """Lambda_i( p * [s]^(k) ) for p in either basis.
+
+    On exact contexts this is sum_j c_j Lambda_i([s]^(j) [s]^(k)) over the
+    falling coefficients c_j of p, each unit pairing read from the Gram
+    table of the memo scope (`_unit_pairing`).  On float contexts the
+    product is expanded by the factors of [s]^(k) and contracted with the
+    normalized moments (alpha_i q)^m, an operation order that the recorded
+    `gen --q` output pins bit for bit.
+    """
+    scope = memo_scope(ctx.q, ctx.exact)
+    fall = to_falling_basis(p, ctx)
+    if ctx.exact:
+        alpha = ctx.alphas[i]
+        total = scope.zero
+        for j, c in enumerate(fall.coeffs):
+            total += c * _unit_pairing(alpha, j, k, scope)
+        return total
+    return _contract(falling_mul_falling(fall, k, ctx), ctx.alphas[i], scope)
 
 
 def _contract(fall: LatticePoly, alpha: Scalar, scope: MemoScope) -> Scalar:
@@ -98,9 +116,10 @@ def _contract(fall: LatticePoly, alpha: Scalar, scope: MemoScope) -> Scalar:
 
 
 def _unit_pairing(alpha: Scalar, j: int, k: int, scope: MemoScope) -> Scalar:
-    """Lambda([s]^(j) [s]^(k)) at weight parameter alpha, the value
-    `moment_pairing` gives for the unit polynomial [s]^(j); kept in the memo
-    scope, so every context at this q with this alpha shares it."""
+    """Lambda([s]^(j) [s]^(k)) at weight parameter alpha: the falling product
+    [s]^(j) [s]^(k) contracted with the moments (alpha q)^m.  Kept in the
+    memo scope (the Gram table), so every context at this q with this alpha
+    shares it."""
     key = (alpha, j, k)
     if key not in scope.pairings:
         scope.pairings[key] = _contract(scope.falling_product(j, k), alpha, scope)
@@ -329,7 +348,8 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
     index = MultiIndex.coerce(index)
     _check_index(index, ctx)
     if path is None:
-        return QCharlierPoly(ctx, index, _recurrence_poly(ctx, index), "recurrence")
+        poly = _recurrence_poly(ctx, index)
+        return QCharlierPoly(ctx, index, from_falling_basis(poly, ctx), "recurrence")
     path = [int(k) for k in path]
     counts = [0] * ctx.r
     for k in path:
@@ -339,17 +359,19 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
     if tuple(counts) != index.parts:
         raise ValueError(f"path {path} does not lead from 0 to {index.parts}")
     current = MultiIndex((0,) * ctx.r)
-    poly = LatticePoly.one()
+    poly = _recurrence_poly(ctx, current)
     for k in path:
         poly = _recurrence_step(ctx, current, k, poly)
         current = current.up(k)
-    return QCharlierPoly(ctx, index, poly, "recurrence")
+    return QCharlierPoly(ctx, index, from_falling_basis(poly, ctx), "recurrence")
 
 
 @scoped_memo
 def _recurrence_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
+    """C_index by the recurrence, in the falling basis on exact contexts and
+    in the monomial basis on float ones."""
     if index.weight == 0:
-        return LatticePoly.one()
+        return LatticePoly.one(FALLING if ctx.exact else MONOMIAL)
     k = next(i for i, ni in enumerate(index) if ni > 0)
     prev = index.down(k)
     return _recurrence_step(ctx, prev, k, _recurrence_poly(ctx, prev))
@@ -366,7 +388,12 @@ def _recurrence_step(ctx: QContext, prev: MultiIndex, k: int, prev_poly: Lattice
         return _recurrence_poly(c, m)
 
     coeffs = nn_recurrence_coeffs(prev, k, ctx, builder=recurrence_builder)
-    out = prev_poly.times_x() - prev_poly.scale(coeffs.b)
+    if ctx.exact:
+        # X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m), the first factor of [s]^(1)
+        times_x = falling_mul_falling(prev_poly, 1, ctx)
+    else:
+        times_x = prev_poly.times_x()
+    out = times_x - prev_poly.scale(coeffs.b)
     for i, di in enumerate(coeffs.d):
         if di != 0:
             out = out - _recurrence_poly(ctx, prev.down(i)).scale(di)

@@ -1,23 +1,39 @@
 """Independent dense reference for the linear-system oracle.
 
-Assembles the whole orthogonality system of a multi-index from
-`moment_pairing`, the public definition of the functionals, and solves it
-from scratch by Gauss-Jordan elimination on exact rationals, pivoting on the
-first nonzero entry of each column.  It shares no factors, memo entries or
-row order with `build_linear_system`, so the two agree only if the bordered
-factorization is right."""
+Assembles the whole orthogonality system of a multi-index from the
+definition of the functionals: each entry expands [s]^(j) [s]^(k) in the
+falling basis with `falling_mul_falling` and contracts it with the moments
+(alpha_i q)^m, computed here.  It solves the system from scratch by
+Gauss-Jordan elimination on exact rationals, pivoting on the first nonzero
+entry of each column.  It shares no Gram table, factors, memo entries or
+row order with `build_linear_system`, so the two agree only if the oracle's
+pairings and its bordered factorization are right."""
 
 import functools
 from fractions import Fraction
 
-from qcharlier.constructors import ConstructionError, moment_pairing
-from qcharlier.qkernels import LatticePoly, MultiIndex, binom2, from_falling_basis
+from qcharlier.constructors import ConstructionError
+from qcharlier.qkernels import (
+    LatticePoly,
+    MultiIndex,
+    binom2,
+    falling_mul_falling,
+    from_falling_basis,
+)
+
+
+def expanded_pairing(fall, k, i, ctx):
+    """Lambda_i(p [s]^(k)) for a falling-basis p: the product expanded by
+    `falling_mul_falling`, each [s]^(m) mapped to (alpha_i q)^m."""
+    product = falling_mul_falling(fall, k, ctx).coeffs
+    step = ctx.alphas[i] * ctx.q
+    return sum((c * step ** m for m, c in enumerate(product)), Fraction(0))
 
 
 @functools.lru_cache(maxsize=None)
 def _pairing(ctx, i, j, k):
-    """Lambda_i([s]^(j) [s]^(k)) through `moment_pairing`."""
-    return moment_pairing(LatticePoly.falling((Fraction(0),) * j + (Fraction(1),)), k, i, ctx)
+    """Lambda_i([s]^(j) [s]^(k))."""
+    return expanded_pairing(LatticePoly.falling((Fraction(0),) * j + (Fraction(1),)), k, i, ctx)
 
 
 def dense_oracle(index, ctx) -> LatticePoly:

@@ -1,11 +1,13 @@
 """Construction routes: examples, cross-method agreement, and the moments."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import expanded_pairing
 from qcharlier import (
     QContext,
     build,
@@ -17,8 +19,13 @@ from qcharlier import (
     rodrigues_constant,
 )
 from qcharlier.cli import _exact_shadow
-from qcharlier.constructors import moment_pairing
+from qcharlier.constructors import _contract, moment_pairing
 from qcharlier.qkernels import (
+    FALLING,
+    MONOMIAL,
+    LatticePoly,
+    falling_mul_falling,
+    memo_scope,
     q_falling_number,
     to_falling_basis,
     weight_masses,
@@ -98,6 +105,16 @@ def test_recurrence_paths_agree(ctx2):
     assert straight == build_linear_system((1, 1), ctx2).poly
 
 
+def test_recurrence_paths_give_the_default_monomial_polynomial(ctx3):
+    for parts in [(2, 1, 0), (1, 1, 1), (0, 2, 2)]:
+        default = build_recurrence(parts, ctx3).poly
+        assert default.basis == MONOMIAL
+        for path in set(itertools.permutations([i for i, n in enumerate(parts) for _ in range(n)])):
+            walked = build_recurrence(parts, ctx3, path=path).poly
+            assert walked.basis == MONOMIAL
+            assert walked == default
+
+
 def test_recurrence_path_validation(ctx2):
     with pytest.raises(ValueError):
         build_recurrence((1, 1), ctx2, path=[0, 0])
@@ -154,6 +171,44 @@ def test_float_backend_construction():
     assert approx.degree == reference.degree
     for a, b in zip(approx.coeffs, reference.coeffs):
         assert abs(a - float(b)) < 1e-12
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+PAIRING_CASE = st.tuples(
+    st.sampled_from([MONOMIAL, FALLING]),
+    st.integers(0, 12),
+    st.integers(0, 1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)).filter(lambda t: t != 1),
+    st.lists(SMALL_RATIONALS, min_size=1, max_size=13),
+    PAIRING_CASE,
+)
+def test_exact_moment_pairing_equals_factor_step_expansion(t, coeffs, case):
+    # the Gram-table pairing against the product expanded factor by factor
+    basis, k, i = case
+    ctx = QContext.from_t(t, ["1/2", "7/3"])
+    p = LatticePoly(basis, coeffs)
+    expected = expanded_pairing(to_falling_basis(p, ctx), k, i, ctx)
+    assert moment_pairing(p, k, i, ctx) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([0.74, 0.81, 1.3]),
+    st.lists(st.floats(-10, 10), min_size=1, max_size=13),
+    PAIRING_CASE,
+)
+def test_float_moment_pairing_keeps_its_operation_order(q, coeffs, case):
+    basis, k, i = case
+    ctx = QContext.from_q_float(q, [0.35, 0.55])
+    p = LatticePoly(basis, coeffs)
+    fall = falling_mul_falling(to_falling_basis(p, ctx), k, ctx)
+    expected = _contract(fall, ctx.alphas[i], memo_scope(ctx.q, ctx.exact))
+    assert moment_pairing(p, k, i, ctx) == expected
 
 
 @settings(max_examples=20, deadline=None)
