@@ -16,7 +16,6 @@ from .constructors import (
     build_linear_system,
     build_recurrence,
     build_rodrigues,
-    normalized_moment,
     rodrigues_constant,
 )
 from .relations import (
@@ -32,7 +31,7 @@ from .relations import (
     verify_raising,
     verify_stepline,
 )
-from .classical import classical_build, classical_diffeq_residual
+from .classical import classical_build
 
 __all__ = [
     "FALLING",
@@ -47,7 +46,6 @@ __all__ = [
     "build_linear_system",
     "build_recurrence",
     "build_rodrigues",
-    "normalized_moment",
     "rodrigues_constant",
     "NNRecurrenceCoeffs",
     "SteplineCoeffs",
@@ -61,7 +59,6 @@ __all__ = [
     "verify_raising",
     "verify_stepline",
     "classical_build",
-    "classical_diffeq_residual",
 ]
 
 __version__ = "0.1.0"

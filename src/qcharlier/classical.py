@@ -1,13 +1,13 @@
 """Classical multiple Charlier polynomials on the unit lattice.
 
-Reference implementation used as the q -> 1 limit target.  Construction goes
+Reference family used as the q -> 1 limit target.  Construction goes
 through the recurrence
 
     x C_n = C_{n+e_k} + (alpha_k + |n|) C_n + sum_i alpha_i n_i C_{n-e_i}
 
-from C_0 = 1 (path-independent), and the module verifies the (r+1)-order
-difference identity built from the weight-conjugated backward operator
-L_i f = alpha_i f(x) - x f(x-1):
+from C_0 = 1 (path-independent).  The tests check the family against the
+(r+1)-order difference identity built from the weight-conjugated backward
+operator L_i f = alpha_i f(x) - x f(x-1):
 
     prod_i L_i [forward_diff C] + sum_i n_i prod_{j != i} L_j [C] = 0.
 """
@@ -69,28 +69,3 @@ def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> Latt
         table[tuple(nxt)] = _step(current, k)
         current = tuple(nxt)
     return table[index.parts]
-
-
-def classical_diffeq_residual(index, alphas):
-    """Residual of the classical (r+1)-order identity (zero expected; the
-    zero multi-index is degenerate and returns zero trivially)."""
-    index = MultiIndex.coerce(index)
-    poly = classical_build(index, alphas)
-
-    def lower_op(p, alpha):
-        # alpha f(x) - x f(x-1)
-        return p.scale(alpha) - p.compose_affine(1, -1).times_x()
-
-    lhs = poly.compose_affine(1, 1) - poly
-    for alpha in alphas:
-        lhs = lower_op(lhs, alpha)
-    residual = lhs
-    for i, ni in enumerate(index):
-        if ni == 0:
-            continue
-        term = poly
-        for j, alpha in enumerate(alphas):
-            if j != i:
-                term = lower_op(term, alpha)
-        residual = residual + term.scale(ni)
-    return list(residual.coeffs)

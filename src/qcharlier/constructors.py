@@ -80,13 +80,6 @@ class ConstructionError(RuntimeError):
     """A construction invariant (monicity, solvability, base bookkeeping) failed."""
 
 
-def normalized_moment(i: int, m: int, ctx: QContext) -> Scalar:
-    """m-th normalized moment of the i-th measure: (alpha_i q)^m."""
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    return (ctx.alphas[i] * ctx.q) ** m
-
-
 def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
     """Lambda_i( p * [s]^(k) ) for p in either basis.
 
@@ -182,9 +175,11 @@ def _factors(ctx: QContext, index: MultiIndex):
     of L is w with w U = v, and the new pivot is a - w.y.  No row is
     swapped, so the rows keep the order of `_rows`.  The walk goes down to
     the deepest ancestor in the memo scope, then borders back up, storing
-    each index on the way.  A zero pivot means a singular leading block,
-    which the ratio guard rules out; it raises ConstructionError naming the
-    multi-index and the row (i, k), i from 1.
+    each index on the way.  A zero pivot means a singular leading block.
+    The ratio guard and the degenerate guard (`_check_index`, before
+    construction) rule out the known causes; a zero pivot that still occurs
+    raises ConstructionError naming the multi-index and the row (i, k), i
+    from 1.
     """
     scope = memo_scope(ctx.q, ctx.exact)
     memo = scope.memos.setdefault("_factors", {})
@@ -314,6 +309,7 @@ def build_explicit_r2(n1: int, n2: int, ctx: QContext) -> QCharlierPoly:
     if ctx.r != 2:
         raise ValueError(f"explicit double-sum construction needs r = 2, context has r = {ctx.r}")
     index = MultiIndex((n1, n2))
+    _check_index(index, ctx)
     a1, a2 = ctx.alphas
     prefactor = (
         (-a1) ** n1 * (-a2) ** n2 * ctx.q ** (n1 * n1 + n1 * n2 + n2 * n2)
@@ -421,3 +417,4 @@ def _check_index(index: MultiIndex, ctx: QContext) -> None:
         raise ValueError(
             f"multi-index has {len(index)} components but the context has r = {ctx.r}"
         )
+    ctx.require_nondegenerate(index)

@@ -4,10 +4,9 @@ Everything here is generic over the scalar backend carried by `QContext`:
 exact contexts hold `Fraction` values of t (with q = t**2 so that the
 half-integer lattice powers q**(1/2) stay inside the rational field), while
 approximate contexts hold floats.  The module provides the one polynomial
-type of the package (`LatticePoly`), q-integers, q-factorials, Gaussian
-binomials, the discrete weights, and the degree-triangular change of basis
-between monomials in X = x(s) and the falling-factorial polynomials
-[s]^(k) = x(s) x(s-1) ... x(s-k+1).
+type of the package (`LatticePoly`), q-integers and q-factorials, and the
+degree-triangular change of basis between monomials in X = x(s) and the
+falling-factorial polynomials [s]^(k) = x(s) x(s-1) ... x(s-k+1).
 
 The falling-basis kernels read their tables from one memo scope per
 (q, backend) (`memo_scope`), which every context at that q shares and which
@@ -21,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .scalars import Scalar, parse_scalar
 
@@ -135,6 +134,34 @@ class QContext:
                         "convergence",
                         f"alpha_{i + 1}*q*(1-q) = {a * self.q * (1 - self.q)} >= 1",
                     )
+
+    def require_nondegenerate(self, index: "MultiIndex") -> None:
+        """Guard for building at `index`.
+
+        For 0 < q < 1, a weight with (1-q)*alpha_i*q^m = 1 for an integer
+        m >= 1 zeroes a norm of the i-th moment functional, and every
+        orthogonality system with n_i > m is singular.  It is not part of
+        `validate`: the context stays valid for every index with all
+        n_i <= m.
+        """
+        for i, ni in enumerate(index):
+            # m >= 1, so only n_i >= 2 can exceed it
+            m = self._degenerate_order(self.alphas[i]) if ni >= 2 else None
+            if m is not None and ni > m:
+                raise ValidationError(
+                    "degenerate",
+                    f"(1-q)*alpha_{i + 1}*q**{m} = 1 at alpha_{i + 1} = {self.alphas[i]}, so "
+                    f"every system with n_{i + 1} > {m} is singular; got n = {index.parts}",
+                )
+
+    def _degenerate_order(self, alpha: Scalar) -> Optional[int]:
+        """The integer m >= 1 with (1-q)*alpha*q^m = 1, or None; decided
+        exactly by `_q_exponent`, once per (alpha, q) in the memo scope."""
+        orders = memo_scope(self.q, self.exact).degenerate_orders
+        if alpha not in orders:
+            m = self._q_exponent(1 / ((1 - self.q) * alpha)) if self.q < 1 else None
+            orders[alpha] = m if m is not None and m >= 1 else None
+        return orders[alpha]
 
     def with_alpha(self, i: int, value: Scalar) -> "QContext":
         """New validated context with the i-th weight parameter replaced."""
@@ -334,17 +361,12 @@ def x_of(s: int, ctx: QContext) -> Scalar:
     return memo_scope(ctx.q, ctx.exact).x(s)
 
 
-def q_number(k: int, ctx: QContext) -> Scalar:
-    """[k]_q, identical to x_of(k)."""
-    return x_of(k, ctx)
-
-
 def q_factorial(k: int, ctx: QContext) -> Scalar:
     if k < 0:
         raise ValueError("q-factorial needs a nonnegative argument")
     out = ctx.one()
     for j in range(1, k + 1):
-        out *= q_number(j, ctx)
+        out *= x_of(j, ctx)
     return out
 
 
@@ -354,13 +376,6 @@ def q_falling_number(n: int, k: int, ctx: QContext) -> Scalar:
     for j in range(k):
         out *= x_of(n - j, ctx)
     return out
-
-
-def q_binomial(m: int, k: int, ctx: QContext) -> Scalar:
-    """Gaussian binomial coefficient, equal to [m]^(k)/[k]!."""
-    if not 0 <= k <= m:
-        raise ValueError(f"binomial index out of range: ({m}, {k})")
-    return q_falling_number(m, k, ctx) / q_factorial(k, ctx)
 
 
 def binom2(n: int) -> int:
@@ -419,9 +434,11 @@ class MemoScope:
     What depends on q alone: the powers q^m, the lattice values x(j), the
     falling-factorial polynomials [s]^(k) and the falling products
     [s]^(j)[s]^(k).  What depends on (alpha, q): the moment powers
-    (alpha q)^m and, in `pairings`, the unit pairings
-    Lambda([s]^(j)[s]^(k)).  `memos` holds the per-route polynomial memos
-    and the exact oracle's LU factors, keyed by (context, multi-index).
+    (alpha q)^m, in `pairings` the unit pairings Lambda([s]^(j)[s]^(k)),
+    and in `degenerate_orders` the decisions of
+    `QContext.require_nondegenerate`.  `memos` holds the per-route
+    polynomial memos and the exact oracle's LU factors, keyed by (context,
+    multi-index).
     Every entry is computed by the operations the uncached code would run,
     in the same order, so cached values equal uncached ones bit for bit,
     floats included.
@@ -437,6 +454,7 @@ class MemoScope:
         self._products = {}
         self._moments = {}
         self.pairings = {}
+        self.degenerate_orders = {}
         self.memos = {}
 
     def qpow(self, m: int) -> Scalar:
@@ -531,50 +549,3 @@ def from_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
         if c != 0:
             out = out + falling_factorial_poly(d, ctx).scale(c)
     return out
-
-
-# ---------------------------------------------------------------------------
-# weights
-# ---------------------------------------------------------------------------
-
-def weight_masses(i: int, ctx: QContext) -> Iterator[Scalar]:
-    """Discrete weight masses w_i(0), w_i(1), ... of the i-th measure, where
-    w_i(s) = alpha_i^s * q^(s - 1/2) / [s]_q!, streamed through the term
-    ratio w(s+1) = w(s) * alpha_i * q / [s+1]_q (an endless generator)."""
-    step = ctx.alphas[i] * ctx.q
-    mass = 1 / ctx.t
-    for s in itertools.count(1):
-        yield mass
-        mass = mass * step / q_number(s, ctx)
-
-
-def weight_partial_sums(i: int, m: int, ctx: QContext):
-    """Truncated sums (sum_s [s]^(m) w_i(s), sum_s w_i(s)) for numeric checks,
-    in floats over the masses of `weight_masses`.
-
-    Truncates once the geometric tail estimate of the remaining terms drops
-    below 1e-14; requires convergent measure semantics.
-    """
-    ctx.require_convergent_measures()
-    q = float(ctx.q)
-    if q >= 1:
-        raise ValidationError("convergence", "partial-sum checks need 0 < q < 1")
-    # on this lattice x(s) < 1/(1-q), so [s]^(m) is bounded by that power
-    falling_bound = (1.0 / (1.0 - q)) ** m
-    total_m = 0.0
-    total_0 = 0.0
-    masses = (float(w) for w in weight_masses(i, ctx))
-    term = next(masses)
-    for s in itertools.count():
-        fm = 1.0
-        for j in range(m):
-            fm *= (q ** (s - j) - 1) / (q - 1)
-        total_m += fm * term
-        total_0 += term
-        next_term = next(masses)
-        # the term ratio alpha_i q / [s+1]_q only falls from here on
-        ratio = next_term / term
-        if s > m and ratio < 1 and next_term * falling_bound / (1 - ratio) < 1e-14:
-            break
-        term = next_term
-    return total_m, total_0

@@ -15,10 +15,9 @@ difference equation built from it, and the down-neighbor coefficients of the
 nearest-neighbor recurrence do not: for r >= 2 with two or more active
 components the exact coefficients are rational functions of the weight
 parameters, computed here as moment-functional ratios.  The classical-looking
-product forms (exact for r = 1 and whenever at most one component of the
-multi-index is positive, and the q -> 1 limits of the true values) are kept
-as `*_product_form` variants; tests pin down exactly where they stop being
-valid.
+product forms are exact for r = 1 and whenever at most one component of the
+multi-index is positive, and are the q -> 1 limits of the true values; the
+tests pin down exactly where they stop being valid.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .qkernels import (
     Scalar,
     binom2,
     falling_mul_falling,
-    q_number,
     to_falling_basis,
     x_of,
 )
@@ -103,40 +101,6 @@ def _nn_b_closed_form(index: MultiIndex, k: int, ctx: QContext) -> Scalar:
         bracket = (ctx.q - 1) * ctx.alphas[i] * ctx.q ** index.suffix_weight(i) + 1
         b += ctx.q ** index.prefix_weight(i) * x_of(ni, ctx) * bracket
     return b
-
-
-def nn_b_projection(index, k: int, ctx: QContext) -> Scalar:
-    """b recomputed from moment projections alone, independent of the closed
-    form (cross-check): project the recurrence onto Lambda_k against
-    [s]^(n_k).  Only C_{n+e_k} drops out for free; every down neighbor still
-    pairs nonzero at that degree and must be subtracted with its d_i."""
-    index = MultiIndex.coerce(index)
-    poly = _oracle(index, ctx)
-    nk = index[k]
-    denom = moment_pairing(poly, nk, k, ctx)
-    value = ctx.q ** nk * moment_pairing(poly, nk + 1, k, ctx) + x_of(nk, ctx) * denom
-    d = nn_recurrence_coeffs(index, k, ctx).d
-    for i, ni in enumerate(index):
-        if ni > 0:
-            value -= d[i] * moment_pairing(_oracle(index.down(i), ctx), nk, k, ctx)
-    return value / denom
-
-
-def nn_recurrence_coeffs_product_form(index, k: int, ctx: QContext) -> NNRecurrenceCoeffs:
-    """Product-form down coefficients
-    d_i = q^(n_1+..+n_{i-1}) x(n_i) [(q-1) alpha_i q^(n_i+..+n_r) + 1] *
-          alpha_i q^(|n| + n_i - 1).
-
-    Exact only when at most one component of the multi-index is positive
-    (in particular for r = 1); kept as a documented negative control."""
-    index = MultiIndex.coerce(index)
-    b = _nn_b_closed_form(index, k, ctx)
-    d = []
-    for i, ni in enumerate(index):
-        bracket = (ctx.q - 1) * ctx.alphas[i] * ctx.q ** index.suffix_weight(i) + 1
-        term = ctx.q ** index.prefix_weight(i) * x_of(ni, ctx) * bracket
-        d.append(term * ctx.alphas[i] * ctx.q ** (index.weight + ni - 1))
-    return NNRecurrenceCoeffs(k=k, b=b, d=tuple(d))
 
 
 def verify_nn_recurrence(
@@ -213,16 +177,6 @@ def lowering_coeffs(index, ctx: QContext, builder: Optional[Builder] = None):
     return tuple(betas)
 
 
-def lowering_coeffs_product_form(index, ctx: QContext):
-    """q^(|n| - n_i + 1/2) [n_i]_q; exact only when at most one component is
-    positive (negative control elsewhere)."""
-    index = MultiIndex.coerce(index)
-    return tuple(
-        ctx.q ** (index.weight - ni) * ctx.t * q_number(ni, ctx) if ni else ctx.zero()
-        for ni in index
-    )
-
-
 def verify_lowering(index, ctx: QContext, builder: Optional[Builder] = None) -> LatticePoly:
     """Residual Delta C_n - sum_i beta_i C_{n-e_i}^(q a) (zero expected)."""
     index = MultiIndex.coerce(index)
@@ -274,35 +228,6 @@ def diff_eq_residual(index, ctx: QContext, builder: Optional[Builder] = None) ->
     return residual
 
 
-def diff_eq_residual_single_family(index, ctx: QContext) -> LatticePoly:
-    """Equivalent form of the same identity with every operand in the original
-    parameter vector:
-
-        prod_j E_{q alpha_j} [Delta C_n]
-          = (-1)^r q^(-r(|n|-1) - C(r,2)) sum_i beta_i C_{n + 1 - e_i},
-
-    where E_a P = a P(X) - X P((X-1)/q) and 1 is the all-ones index.  Used as
-    a cross-check of `diff_eq_residual`."""
-    index = MultiIndex.coerce(index)
-    n = index.weight
-    lifted = delta_cov(_oracle(index, ctx), ctx)
-    for j in range(ctx.r):
-        # E without the power normalization: strip the q^power * t factor
-        lifted = raising_apply(lifted, ctx.q * ctx.alphas[j], 0, ctx).scale(1 / ctx.t)
-    scale = (-1) ** ctx.r * ctx.q ** (-(ctx.r * (n - 1) + binom2(ctx.r)))
-    rhs = LatticePoly.zero()
-    betas = lowering_coeffs(index, ctx)
-    for i, beta in enumerate(betas):
-        if beta == 0:
-            continue
-        up = index
-        for j in range(ctx.r):
-            if j != i:
-                up = up.up(j)
-        rhs = rhs + _oracle(up, ctx).scale(beta)
-    return lifted - rhs.scale(scale)
-
-
 # ---------------------------------------------------------------------------
 # step-line recurrence (r = 2)
 # ---------------------------------------------------------------------------
@@ -326,13 +251,16 @@ class SteplineCoeffs:
 def stepline_coeffs(
     n1: int, n2: int, ctx: QContext, builder: Optional[Builder] = None
 ) -> SteplineCoeffs:
-    """Coefficients peeled off the falling-basis expansion of the relation.
+    """b from the closed form, c and d peeled off the falling-basis
+    expansion of the relation.
 
-    With every P normalized to top falling coefficient 1 and N = n1 + n2,
-    the remainder R = X P_{n1,n2} - q^N P_{n1,n2+1} has degree N; then
+    Multiplied through by q^(C(N,2)), N = n1 + n2, the relation is the
+    nearest-neighbor recurrence stepping the second component, so b is its
+    closed-form coefficient and reads no polynomial.  With every P
+    normalized to top falling coefficient 1, the remainder
+    R = X P_{n1,n2} - q^N P_{n1,n2+1} - b P_{n1,n2} has degree below N; then
 
-        b = R_N,  R -= b P_{n1,n2};  c = R_{N-1},  R -= c P_{n1,n2-1};
-        d = R_{N-2},
+        c = R_{N-1},  R -= c P_{n1,n2-1};  d = R_{N-2},
 
     each step clearing the top coefficient of R against a polynomial of that
     degree.  c is read only when n2 >= 1 and d only when n1, n2 >= 1; on
@@ -347,8 +275,8 @@ def stepline_coeffs(
         return to_falling_basis(poly, ctx).scale(ctx.q ** (-binom2(m1 + m2)))
 
     here = p(n1, n2)
+    b = _nn_b_closed_form(MultiIndex((n1, n2)), 1, ctx)
     rest = falling_mul_falling(here, 1, ctx) - p(n1, n2 + 1).scale(ctx.q ** N)
-    b = rest.coefficient(N)
     rest = rest - here.scale(b)
     c = rest.coefficient(N - 1) if n2 >= 1 else ctx.zero()
     d = ctx.zero()

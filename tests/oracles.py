@@ -1,0 +1,295 @@
+"""Reference implementations that the tests compare the package against.
+
+Each one is a second, independent path to a value the package computes
+another way: the closed binomial expansion of the n-fold difference, the
+streamed weights and their truncated sums, the product-form coefficients
+(exact only where at most one component of the multi-index is positive),
+the single-family form of the difference equation, the classical
+difference identity, and a dense Gauss-Jordan solve of the orthogonality
+system.  None of them is reached by a command, so they live here rather
+than in the package.
+"""
+
+import functools
+import itertools
+from fractions import Fraction
+
+from qcharlier.classical import classical_build
+from qcharlier.constructors import ConstructionError, moment_pairing
+from qcharlier.latticefn import WeightedLatticeFn, delta_cov, raising_apply, shift_poly
+from qcharlier.qkernels import (
+    LatticePoly,
+    MultiIndex,
+    ValidationError,
+    binom2,
+    falling_factorial_poly,
+    falling_mul_falling,
+    from_falling_basis,
+    q_factorial,
+    q_falling_number,
+    x_of,
+)
+from qcharlier.relations import (
+    NNRecurrenceCoeffs,
+    _nn_b_closed_form,
+    _oracle,
+    lowering_coeffs,
+    nn_recurrence_coeffs,
+)
+
+
+# ---------------------------------------------------------------------------
+# q-numbers, moments and weights
+# ---------------------------------------------------------------------------
+
+def q_binomial(m, k, ctx):
+    """Gaussian binomial coefficient, equal to [m]^(k)/[k]!."""
+    if not 0 <= k <= m:
+        raise ValueError(f"binomial index out of range: ({m}, {k})")
+    return q_falling_number(m, k, ctx) / q_factorial(k, ctx)
+
+
+def normalized_moment(i, m, ctx):
+    """m-th normalized moment of the i-th measure: (alpha_i q)^m."""
+    if m < 0:
+        raise ValueError("moment order must be nonnegative")
+    return (ctx.alphas[i] * ctx.q) ** m
+
+
+def weight_masses(i, ctx):
+    """Discrete weight masses w_i(0), w_i(1), ... of the i-th measure, where
+    w_i(s) = alpha_i^s * q^(s - 1/2) / [s]_q!, streamed through the term
+    ratio w(s+1) = w(s) * alpha_i * q / [s+1]_q (an endless generator)."""
+    step = ctx.alphas[i] * ctx.q
+    mass = 1 / ctx.t
+    for s in itertools.count(1):
+        yield mass
+        mass = mass * step / x_of(s, ctx)
+
+
+def weight_partial_sums(i, m, ctx):
+    """Truncated sums (sum_s [s]^(m) w_i(s), sum_s w_i(s)) for numeric checks,
+    in floats over the masses of `weight_masses`.
+
+    Truncates once the geometric tail estimate of the remaining terms drops
+    below 1e-14; requires convergent measure semantics.
+    """
+    ctx.require_convergent_measures()
+    q = float(ctx.q)
+    if q >= 1:
+        raise ValidationError("convergence", "partial-sum checks need 0 < q < 1")
+    # on this lattice x(s) < 1/(1-q), so [s]^(m) is bounded by that power
+    falling_bound = (1.0 / (1.0 - q)) ** m
+    total_m = 0.0
+    total_0 = 0.0
+    masses = (float(w) for w in weight_masses(i, ctx))
+    term = next(masses)
+    for s in itertools.count():
+        fm = 1.0
+        for j in range(m):
+            fm *= (q ** (s - j) - 1) / (q - 1)
+        total_m += fm * term
+        total_0 += term
+        next_term = next(masses)
+        # the term ratio alpha_i q / [s+1]_q only falls from here on
+        ratio = next_term / term
+        if s > m and ratio < 1 and next_term * falling_bound / (1 - ratio) < 1e-14:
+            break
+        term = next_term
+    return total_m, total_0
+
+
+# ---------------------------------------------------------------------------
+# lattice functions f(s) = base^s * poly(x(s)) / [s]_q!
+# ---------------------------------------------------------------------------
+
+def eval_at(f, s, ctx):
+    """Exact value of f at integer s (zero for s < 0, matching 1/Gamma_q
+    vanishing at nonpositive integers)."""
+    if s < 0:
+        return ctx.zero()
+    return f.base ** s * f.poly.evaluate(x_of(s, ctx)) / q_factorial(s, ctx)
+
+
+def times_x(f):
+    """x(s) * f(s), which stays in the class."""
+    return WeightedLatticeFn(f.base, f.poly.times_x())
+
+
+def nabla_power_expansion(f, m, ctx):
+    """nabla^m via the binomial sum over back-shifts (independent of the
+    iterated one-step rule):
+
+        nabla^m f(s) = q^(m/2 - m s) sum_k [m k] (-1)^k q^(k(k-1)/2) f(s-k).
+    """
+    if m < 0:
+        raise ValueError("power must be nonnegative")
+    total = LatticePoly.zero()
+    for k in range(m + 1):
+        coeff = q_binomial(m, k, ctx) * (-1) ** k * ctx.q ** binom2(k) * f.base ** (-k)
+        shifted = f.poly
+        for _ in range(k):
+            shifted = shift_poly(shifted, -1, ctx)
+        # 1/[s-k]! = [s]^(k) / [s]!
+        shifted = shifted * falling_factorial_poly(k, ctx)
+        total = total + shifted.scale(coeff)
+    total = total.scale(ctx.t ** m)
+    return WeightedLatticeFn(f.base * ctx.q ** (-m), total)
+
+
+def rodrigues_elementary_expanded(f, alpha, n, ctx):
+    """`rodrigues_elementary` through the closed expansion of nabla^n."""
+    out = nabla_power_expansion(f.times_geometric(alpha * ctx.q ** n), n, ctx)
+    return out.times_geometric(1 / alpha)
+
+
+# ---------------------------------------------------------------------------
+# recurrence, lowering and difference-equation cross-checks
+# ---------------------------------------------------------------------------
+
+def nn_b_projection(index, k, ctx):
+    """b recomputed from moment projections alone, independent of the closed
+    form (cross-check): project the recurrence onto Lambda_k against
+    [s]^(n_k).  Only C_{n+e_k} drops out for free; every down neighbor still
+    pairs nonzero at that degree and must be subtracted with its d_i."""
+    index = MultiIndex.coerce(index)
+    poly = _oracle(index, ctx)
+    nk = index[k]
+    denom = moment_pairing(poly, nk, k, ctx)
+    value = ctx.q ** nk * moment_pairing(poly, nk + 1, k, ctx) + x_of(nk, ctx) * denom
+    d = nn_recurrence_coeffs(index, k, ctx).d
+    for i, ni in enumerate(index):
+        if ni > 0:
+            value -= d[i] * moment_pairing(_oracle(index.down(i), ctx), nk, k, ctx)
+    return value / denom
+
+
+def nn_recurrence_coeffs_product_form(index, k, ctx):
+    """Product-form down coefficients
+    d_i = q^(n_1+..+n_{i-1}) x(n_i) [(q-1) alpha_i q^(n_i+..+n_r) + 1] *
+          alpha_i q^(|n| + n_i - 1).
+
+    Exact only when at most one component of the multi-index is positive
+    (in particular for r = 1); a documented negative control elsewhere."""
+    index = MultiIndex.coerce(index)
+    b = _nn_b_closed_form(index, k, ctx)
+    d = []
+    for i, ni in enumerate(index):
+        bracket = (ctx.q - 1) * ctx.alphas[i] * ctx.q ** index.suffix_weight(i) + 1
+        term = ctx.q ** index.prefix_weight(i) * x_of(ni, ctx) * bracket
+        d.append(term * ctx.alphas[i] * ctx.q ** (index.weight + ni - 1))
+    return NNRecurrenceCoeffs(k=k, b=b, d=tuple(d))
+
+
+def lowering_coeffs_product_form(index, ctx):
+    """q^(|n| - n_i + 1/2) [n_i]_q; exact only when at most one component is
+    positive (negative control elsewhere)."""
+    index = MultiIndex.coerce(index)
+    return tuple(
+        ctx.q ** (index.weight - ni) * ctx.t * x_of(ni, ctx) if ni else ctx.zero()
+        for ni in index
+    )
+
+
+def diff_eq_residual_single_family(index, ctx):
+    """Equivalent form of the difference identity of `diff_eq_residual`
+    with every operand in the original parameter vector:
+
+        prod_j E_{q alpha_j} [Delta C_n]
+          = (-1)^r q^(-r(|n|-1) - C(r,2)) sum_i beta_i C_{n + 1 - e_i},
+
+    where E_a P = a P(X) - X P((X-1)/q) and 1 is the all-ones index."""
+    index = MultiIndex.coerce(index)
+    n = index.weight
+    lifted = delta_cov(_oracle(index, ctx), ctx)
+    for j in range(ctx.r):
+        # E without the power normalization: strip the q^power * t factor
+        lifted = raising_apply(lifted, ctx.q * ctx.alphas[j], 0, ctx).scale(1 / ctx.t)
+    scale = (-1) ** ctx.r * ctx.q ** (-(ctx.r * (n - 1) + binom2(ctx.r)))
+    rhs = LatticePoly.zero()
+    betas = lowering_coeffs(index, ctx)
+    for i, beta in enumerate(betas):
+        if beta == 0:
+            continue
+        up = index
+        for j in range(ctx.r):
+            if j != i:
+                up = up.up(j)
+        rhs = rhs + _oracle(up, ctx).scale(beta)
+    return lifted - rhs.scale(scale)
+
+
+def classical_diffeq_residual(index, alphas):
+    """Residual of the classical (r+1)-order identity, built from the
+    weight-conjugated backward operator L_i f = alpha_i f(x) - x f(x-1):
+
+        prod_i L_i [forward_diff C] + sum_i n_i prod_{j != i} L_j [C] = 0
+
+    (zero expected; the zero multi-index is degenerate and returns zero
+    trivially)."""
+    index = MultiIndex.coerce(index)
+    poly = classical_build(index, alphas)
+
+    def lower_op(p, alpha):
+        # alpha f(x) - x f(x-1)
+        return p.scale(alpha) - p.compose_affine(1, -1).times_x()
+
+    lhs = poly.compose_affine(1, 1) - poly
+    for alpha in alphas:
+        lhs = lower_op(lhs, alpha)
+    residual = lhs
+    for i, ni in enumerate(index):
+        if ni == 0:
+            continue
+        term = poly
+        for j, alpha in enumerate(alphas):
+            if j != i:
+                term = lower_op(term, alpha)
+        residual = residual + term.scale(ni)
+    return list(residual.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the linear-system oracle
+# ---------------------------------------------------------------------------
+
+def expanded_pairing(fall, k, i, ctx):
+    """Lambda_i(p [s]^(k)) for a falling-basis p: the product expanded by
+    `falling_mul_falling`, each [s]^(m) mapped to `normalized_moment`."""
+    product = falling_mul_falling(fall, k, ctx).coeffs
+    return sum((c * normalized_moment(i, m, ctx) for m, c in enumerate(product)), Fraction(0))
+
+
+@functools.lru_cache(maxsize=None)
+def _pairing(ctx, i, j, k):
+    """Lambda_i([s]^(j) [s]^(k))."""
+    return expanded_pairing(LatticePoly.falling((Fraction(0),) * j + (Fraction(1),)), k, i, ctx)
+
+
+def dense_oracle(index, ctx):
+    """C_n by assembling the whole orthogonality system from the definition
+    of the functionals and solving it from scratch by Gauss-Jordan
+    elimination on exact rationals, pivoting on the first nonzero entry of
+    each column.  It shares no Gram table, factors, memo entries or row order
+    with `build_linear_system`, so the two agree only if the oracle's
+    pairings and its bordered factorization are right.  Raises
+    ConstructionError on a singular system."""
+    index = MultiIndex.coerce(index)
+    n = index.weight
+    lead = ctx.q ** binom2(n)
+    conditions = [(i, k) for i, ni in enumerate(index) for k in range(ni)]
+    aug = [
+        [_pairing(ctx, i, j, k) for j in range(n)] + [-lead * _pairing(ctx, i, n, k)]
+        for i, k in conditions
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ConstructionError(f"singular orthogonality system for {index.parts}")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col] / aug[col][col]
+                aug[r] = [aug[r][c] - factor * aug[col][c] for c in range(n + 1)]
+    solution = tuple(aug[i][n] / aug[i][i] for i in range(n))
+    return from_falling_basis(LatticePoly.falling(solution + (lead,)), ctx)

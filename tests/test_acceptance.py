@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import normalized_moment, weight_partial_sums
 from qcharlier import (
     LatticePoly,
     MultiIndex,
@@ -25,14 +26,12 @@ from qcharlier import (
     classical_build,
     diff_eq_residual,
     nn_recurrence_coeffs,
-    normalized_moment,
     orthogonality_residuals,
     verify_lowering,
     verify_nn_recurrence,
     verify_raising,
     verify_stepline,
 )
-from qcharlier.qkernels import weight_partial_sums
 from qcharlier.relations import stepline_valid
 from qcharlier.zeros import find_positive_roots
 

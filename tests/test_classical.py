@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qcharlier import classical_build, classical_diffeq_residual
+from oracles import classical_diffeq_residual
+from qcharlier import classical_build
 
 
 A2 = (Fraction(1, 2), Fraction(3, 5))

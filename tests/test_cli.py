@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from qcharlier import QContext, build
 from qcharlier.cli import _exact_shadow, main
 from qcharlier.scalars import format_scalar
@@ -67,6 +69,29 @@ def test_gen_validation_error_names_guard(capsys):
     )
     assert code == 2
     assert "distinctness" in err
+
+
+@pytest.mark.parametrize("method", ["system", "rodrigues", "explicit", "recurrence"])
+def test_gen_refuses_degenerate_weight_on_every_route(capsys, method):
+    # at q = 1/4, (1-q)*(16/3)*q = 1: every system with n_2 > 1 is singular
+    argv = ("gen", "--t", "1/2", "--alpha", "1", "--alpha", "16/3", "--method", method)
+    code, out, err = run_cli(capsys, *argv, "--n", "0,2")
+    assert code == 2
+    assert out == ""
+    assert "degenerate" in err
+    code, out, _ = run_cli(capsys, *argv, "--n", "0,1")
+    assert code == 0
+    assert len(json.loads(out)["coefficients"]) == 2
+
+
+def test_verify_degenerate_shift_exits_with_guard(capsys):
+    # raising shifts alpha_2 = 4/3 to 16/3, which is degenerate at q = 1/4
+    code, out, err = run_cli(
+        capsys, "verify", "--t", "1/2", "--alpha", "1", "--alpha", "4/3", "--nmax", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "degenerate" in err
 
 
 def test_gen_float_backend(capsys):

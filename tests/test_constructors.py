@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import expanded_pairing
+from oracles import expanded_pairing, normalized_moment, weight_masses, weight_partial_sums
 from qcharlier import (
     QContext,
     build,
@@ -15,7 +15,6 @@ from qcharlier import (
     build_linear_system,
     build_recurrence,
     build_rodrigues,
-    normalized_moment,
     rodrigues_constant,
 )
 from qcharlier.cli import _exact_shadow
@@ -28,8 +27,6 @@ from qcharlier.qkernels import (
     memo_scope,
     q_falling_number,
     to_falling_basis,
-    weight_masses,
-    weight_partial_sums,
     x_of,
 )
 

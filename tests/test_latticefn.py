@@ -2,23 +2,20 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eval_at, nabla_power_expansion, rodrigues_elementary_expanded, times_x
 from qcharlier import LatticePoly, QContext
 from qcharlier.latticefn import (
     WeightedLatticeFn,
     delta_cov,
     nabla,
-    nabla_power_expansion,
     raising_apply,
     rodrigues_elementary,
-    rodrigues_elementary_expanded,
-    shift_fn,
     shift_poly,
 )
-from qcharlier.qkernels import q_number, x_of
+from qcharlier.qkernels import x_of
 
 coeff_lists = st.lists(
     st.fractions(min_value=Fraction(-12), max_value=Fraction(12), max_denominator=10),
@@ -55,23 +52,14 @@ def test_shift_round_trip(coeffs):
     assert shift_poly(shift_poly(poly, 1, ctx), -1, ctx) == poly
 
 
-def test_shift_fn_pointwise(ctx2):
-    f = wlf(Fraction(3, 2), (1, 2, 1))
-    down = shift_fn(f, -1, ctx2)
-    for s in range(0, 7):
-        assert down.eval_at(s, ctx2) == f.eval_at(s - 1, ctx2)
-    with pytest.raises(ValueError):
-        shift_fn(f, 1, ctx2)
-
-
 def test_class_closed_under_x_and_geometric_multiplication(ctx2):
     # remaining closure operations: multiply by x(s) and by d^s
     f = wlf(Fraction(3, 2), (2, 1))
     d = Fraction(5, 7)
     for s in range(0, 7):
-        assert f.times_x().eval_at(s, ctx2) == x_of(s, ctx2) * f.eval_at(s, ctx2)
-        assert f.times_geometric(d).eval_at(s, ctx2) == d ** s * f.eval_at(s, ctx2)
-        assert f.scale(d).eval_at(s, ctx2) == d * f.eval_at(s, ctx2)
+        assert eval_at(times_x(f), s, ctx2) == x_of(s, ctx2) * eval_at(f, s, ctx2)
+        assert eval_at(f.times_geometric(d), s, ctx2) == d ** s * eval_at(f, s, ctx2)
+        assert eval_at(f.scale(d), s, ctx2) == d * eval_at(f, s, ctx2)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +90,8 @@ def test_nabla_pointwise(base, coeffs):
     f = wlf(base, coeffs)
     out = nabla(f, ctx)
     for s in range(0, 7):
-        direct = (f.eval_at(s, ctx) - f.eval_at(s - 1, ctx)) / ctx.q ** s * ctx.t
-        assert out.eval_at(s, ctx) == direct
+        direct = (eval_at(f, s, ctx) - eval_at(f, s - 1, ctx)) / ctx.q ** s * ctx.t
+        assert eval_at(out, s, ctx) == direct
 
 
 @settings(max_examples=30)
@@ -115,8 +103,8 @@ def test_nabla_commutes_with_forward_shift_pointwise(base, coeffs):
     f = wlf(base, coeffs)
     out = nabla(f, ctx)
     for s in range(0, 8):
-        direct = (f.eval_at(s + 1, ctx) - f.eval_at(s, ctx)) / ctx.q ** (s + 1) * ctx.t
-        assert out.eval_at(s + 1, ctx) == direct
+        direct = (eval_at(f, s + 1, ctx) - eval_at(f, s, ctx)) / ctx.q ** (s + 1) * ctx.t
+        assert eval_at(out, s + 1, ctx) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +118,7 @@ def test_delta_cov_examples(ctx2):
     x2 = LatticePoly.monomial((0, 0, 1))
     out = delta_cov(x2, ctx2)
     assert out.degree == 1
-    assert out.leading == ctx2.t * q_number(2, ctx2)
+    assert out.leading == ctx2.t * x_of(2, ctx2)
 
 
 @settings(max_examples=60)
@@ -143,7 +131,7 @@ def test_delta_cov_degree_and_leading(coeffs):
         assert out.is_zero
     else:
         assert out.degree == poly.degree - 1
-        assert out.leading == ctx.t * q_number(poly.degree, ctx) * poly.leading
+        assert out.leading == ctx.t * x_of(poly.degree, ctx) * poly.leading
 
 
 @settings(max_examples=40)

@@ -1,7 +1,8 @@
 """The exact oracle's bordered LU factorization: it must equal the dense
 Gauss-Jordan reference, raise where the reference raises, name the place of
 a vanishing pivot, and not depend on the order in which the memo scope was
-filled."""
+filled.  The degenerate guard must refuse exactly the singular systems of a
+degenerate weight."""
 
 import itertools
 import time
@@ -9,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from dense_reference import dense_oracle
-from qcharlier import MultiIndex, QContext, build_linear_system
-from qcharlier.constructors import ConstructionError, _factors
+from oracles import dense_oracle
+from qcharlier import MultiIndex, QContext, ValidationError, build, build_linear_system
+from qcharlier.constructors import METHODS, ConstructionError, _factors, _linear_system_poly
 
 ALPHAS = ("1/2", "3/5", "7/10")
 GRID2 = list(itertools.product(range(7), repeat=2))  # the acceptance grids
@@ -36,18 +37,45 @@ def _outcome(build, parts, ctx):
 def test_unguarded_grid_raises_where_reference_raises():
     # alpha_2 = alpha_1 q^k breaks the ratio guard (k = 0 the distinctness
     # guard), so some leading blocks are singular; the plain constructor
-    # skips validation
+    # skips validation, and the solver is called below the index guard
+    # (at k = -2, -3 alpha_2 is also degenerate)
     t, a = Fraction(1, 2), Fraction(1, 3)
     raised = set()
     for k in range(-3, 4):
         ctx = QContext(t=t, q=t * t, alphas=(a, a * (t * t) ** k))
         for parts in itertools.product(range(4), repeat=2):
-            oracle = _outcome(lambda p, c: build_linear_system(p, c).poly, parts, ctx)
+            oracle = _outcome(lambda p, c: _linear_system_poly(c, MultiIndex(p)), parts, ctx)
             assert oracle == _outcome(dense_oracle, parts, ctx), (k, parts)
             if oracle is None:
                 raised.add((k, parts))
     assert len(raised) == 36
     assert len([key for key in raised if key[0] != 0]) == 27
+
+
+@pytest.mark.parametrize("t", ["1/2", "2/3", "9/10"])
+def test_degenerate_guard_fires_exactly_where_the_system_is_singular(t):
+    # (1-q) alpha q^m = 1 zeroes a norm of the functional of alpha when
+    # m >= 1, so exactly the systems with n_i > m are singular; every route
+    # refuses those, and only those, before construction
+    q = Fraction(t) ** 2
+    for m in range(4):
+        alpha = 1 / ((1 - q) * q ** m)
+        for alphas, grid in (
+            ((alpha,), [(n,) for n in range(6)]),
+            ((Fraction(1, 7), alpha), list(itertools.product(range(4), repeat=2))),
+        ):
+            ctx = QContext.from_t(t, alphas)
+            methods = METHODS if ctx.r == 2 else [x for x in METHODS if x != "explicit_r2"]
+            for parts in grid:
+                singular = m >= 1 and parts[-1] > m
+                assert (_outcome(dense_oracle, parts, ctx) is None) == singular, (t, m, parts)
+                for method in methods:
+                    try:
+                        build(parts, ctx, method=method)
+                        refused = None
+                    except ValidationError as err:
+                        refused = err.guard
+                    assert refused == ("degenerate" if singular else None), (t, m, parts)
 
 
 def test_singular_system_names_index_and_row():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import q_binomial, weight_masses, weight_partial_sums
 from qcharlier import LatticePoly, MultiIndex, QContext, ValidationError, build_linear_system
 from qcharlier.latticefn import shift_poly
 from qcharlier.qkernels import (
@@ -18,12 +19,8 @@ from qcharlier.qkernels import (
     falling_mul_falling,
     from_falling_basis,
     memo_scope,
-    q_binomial,
     q_factorial,
-    q_number,
     to_falling_basis,
-    weight_masses,
-    weight_partial_sums,
     x_of,
 )
 
@@ -101,13 +98,9 @@ def test_x_of(ctx2, q2):
     assert x_of(0, ctx2) == 0
     assert x_of(2, ctx2) == 1 + q2
     assert x_of(-1, ctx2) == Fraction(-100, 81)
-
-
-def test_q_number_matches_lattice(ctx2):
-    for k in range(-3, 8):
-        assert q_number(k, ctx2) == x_of(k, ctx2)
+    # [3]_q = 1 + q + q^2 = 21/16 at q = 1/4
     quarter = QContext.from_t("1/2", ["1/2"])
-    assert q_number(3, quarter) == Fraction(21, 16)
+    assert x_of(3, quarter) == Fraction(21, 16)
 
 
 def test_q_factorial(ctx2, q2):

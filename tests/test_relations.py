@@ -6,6 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    diff_eq_residual_single_family,
+    lowering_coeffs_product_form,
+    nn_b_projection,
+    nn_recurrence_coeffs_product_form,
+)
 from qcharlier import (
     LatticePoly,
     MultiIndex,
@@ -25,13 +31,8 @@ from qcharlier import (
 )
 from qcharlier import relations
 from qcharlier.latticefn import delta_cov
-from qcharlier.relations import (
-    diff_eq_residual_single_family,
-    lowering_coeffs_product_form,
-    nn_b_projection,
-    nn_recurrence_coeffs_product_form,
-    stepline_valid,
-)
+from qcharlier.qkernels import x_of
+from qcharlier.relations import stepline_valid
 
 
 def perturbing_builder(target_parts, amount=Fraction(1, 10 ** 6), coeff=0):
@@ -192,11 +193,9 @@ def test_lowering_product_form_breaks_at_two_active_components(ctx2):
 
 def test_lowering_coeffs_sum_to_delta_leading(ctx2):
     # sum_i beta_i = q^(1/2) [|n|]_q (leading-coefficient law of Delta)
-    from qcharlier.qkernels import q_number
-
     for parts in [(1, 1), (2, 1), (2, 2), (3, 1)]:
         betas = lowering_coeffs(parts, ctx2)
-        assert sum(betas) == ctx2.t * q_number(sum(parts), ctx2)
+        assert sum(betas) == ctx2.t * x_of(sum(parts), ctx2)
 
 
 def test_lowering_classical_limit():
