@@ -98,6 +98,12 @@ def test_x_of(ctx2, q2):
     assert x_of(0, ctx2) == 0
     assert x_of(2, ctx2) == 1 + q2
     assert x_of(-1, ctx2) == Fraction(-100, 81)
+
+
+def test_q_number_matches_lattice(ctx2, q2):
+    # the lattice x(s) is the q-number [s]_q = (q^s - 1)/(q - 1)
+    for k in range(-3, 8):
+        assert x_of(k, ctx2) == (q2**k - 1) / (q2 - 1)
     # [3]_q = 1 + q + q^2 = 21/16 at q = 1/4
     quarter = QContext.from_t("1/2", ["1/2"])
     assert x_of(3, quarter) == Fraction(21, 16)
