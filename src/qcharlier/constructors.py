@@ -19,7 +19,9 @@ Construction routes:
 * `build_linear_system` - ground truth; encodes only the definition above.
   On exact contexts it solves with LU factors that `_factors` borders from
   index to index along the lattice (the same system, factored
-  incrementally); on float contexts with pivoted elimination.
+  incrementally); on float contexts with pivoted elimination.  Solutions
+  and factors are kept once per distinct system (`active_key`), and the
+  falling solution is kept beside the monomial polynomial.
 * `build_rodrigues` - weight-conjugated iterated differences with the
   closed-form normalizing constant.
 * `build_explicit_r2` - finite double sum in the falling basis (r = 2).
@@ -45,6 +47,7 @@ from .qkernels import (
     MultiIndex,
     QContext,
     Scalar,
+    active_key,
     binom2,
     falling_mul_falling,
     from_falling_basis,
@@ -66,14 +69,6 @@ class QCharlierPoly:
     index: MultiIndex
     poly: LatticePoly
     method: str
-
-    @property
-    def coefficients(self):
-        return self.poly.coeffs
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
 
 
 class ConstructionError(RuntimeError):
@@ -123,18 +118,23 @@ def _unit_pairing(alpha: Scalar, j: int, k: int, scope: MemoScope) -> Scalar:
 # linear-system construction (the oracle)
 # ---------------------------------------------------------------------------
 
-def build_linear_system(index, ctx: QContext) -> QCharlierPoly:
+def build_linear_system(index, ctx: QContext, basis: str = MONOMIAL) -> QCharlierPoly:
+    """The oracle.  With basis=FALLING the polynomial is the solution as
+    the system gives it, in the falling basis, with no basis change."""
     index = MultiIndex.coerce(index)
     _check_index(index, ctx)
-    poly = _linear_system_poly(ctx, index)
+    poly = _linear_system_poly(ctx, index)[basis]
     return QCharlierPoly(ctx, index, poly, "linear_system")
 
 
-@scoped_memo
-def _linear_system_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
+@scoped_memo(key=active_key)
+def _linear_system_poly(ctx: QContext, index: MultiIndex) -> dict:
+    """C_index in both bases, {FALLING: solution, MONOMIAL: polynomial}.
+    Kept once per `active_key`: contexts and indices that share a system
+    share its solution."""
     n = index.weight
     if n == 0:
-        return LatticePoly.one()
+        return {FALLING: LatticePoly.one(FALLING), MONOMIAL: LatticePoly.one()}
     scope = memo_scope(ctx.q, ctx.exact)
     lead = ctx.q ** binom2(n)
     if ctx.exact:
@@ -154,7 +154,7 @@ def _linear_system_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     poly = from_falling_basis(fall, ctx)
     if ctx.exact and (poly.degree != n or poly.leading != 1):
         raise ConstructionError(f"solution for {index.parts} is not monic of degree {n}")
-    return poly
+    return {FALLING: fall, MONOMIAL: poly}
 
 
 def _rows(index: MultiIndex):
@@ -175,7 +175,9 @@ def _factors(ctx: QContext, index: MultiIndex):
     of L is w with w U = v, and the new pivot is a - w.y.  No row is
     swapped, so the rows keep the order of `_rows`.  The walk goes down to
     the deepest ancestor in the memo scope, then borders back up, storing
-    each index on the way.  A zero pivot means a singular leading block.
+    each index on the way.  Entries are keyed by `active_key`, which fixes
+    the matrix, so an index shares its factors with every index and context
+    of the same key.  A zero pivot means a singular leading block.
     The ratio guard and the degenerate guard (`_check_index`, before
     construction) rule out the known causes; a zero pivot that still occurs
     raises ConstructionError naming the multi-index and the row (i, k), i
@@ -184,11 +186,13 @@ def _factors(ctx: QContext, index: MultiIndex):
     scope = memo_scope(ctx.q, ctx.exact)
     memo = scope.memos.setdefault("_factors", {})
     chain = []
-    while (ctx, index) not in memo and index.weight:
-        chain.append(index)
+    key = active_key(ctx, index)
+    while key not in memo and index.weight:
+        chain.append((index, key))
         index = index.down(_rows(index)[-1][0])
-    lower, upper = memo.get((ctx, index), ((), ()))
-    for index in reversed(chain):
+        key = active_key(ctx, index)
+    lower, upper = memo.get(key, ((), ()))
+    for index, key in reversed(chain):
         rows = _rows(index)
         p, k = rows[-1]
         alpha, j = ctx.alphas[p], len(rows) - 1
@@ -208,7 +212,7 @@ def _factors(ctx: QContext, index: MultiIndex):
                 f"(i, k) = ({p + 1}, {k}) vanishes (degenerate parameters)"
             )
         lower, upper = lower + (tuple(w),), upper + (tuple(y) + (pivot,),)
-        memo[(ctx, index)] = (lower, upper)
+        memo[key] = (lower, upper)
     return lower, upper
 
 
@@ -277,7 +281,7 @@ def build_rodrigues(index, ctx: QContext) -> QCharlierPoly:
     return QCharlierPoly(ctx, index, poly, "rodrigues")
 
 
-@scoped_memo
+@scoped_memo()
 def _rodrigues_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     fn = WeightedLatticeFn(ctx.one(), LatticePoly.one())
     for i, ni in enumerate(index):
@@ -362,7 +366,7 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
     return QCharlierPoly(ctx, index, from_falling_basis(poly, ctx), "recurrence")
 
 
-@scoped_memo
+@scoped_memo()
 def _recurrence_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     """C_index by the recurrence, in the falling basis on exact contexts and
     in the monomial basis on float ones."""

@@ -2,24 +2,32 @@
 
 The carrier type is f(s) = c^s * P(x(s)) / [s]_q! (`WeightedLatticeFn`),
 which is closed under the covariant backward difference
-nabla = (f(s) - f(s-1)) / q^(s-1/2), multiplication by geometric factors
-d^s, and scaling.  On pure polynomials the module provides the lattice
-shifts, the covariant forward difference
-Delta P = (P(s+1) - P(s)) / q^(s-1/2) and the degree-raising operator action
-
-    q^(power + 1/2) * [ (alpha - X) P(X) + X (P(X) - P((X-1)/q)) ],
-
-all exact.  The n-fold nabla iterates the one-step rule; the tests hold it
-against the closed binomial expansion
+nabla = (f(s) - f(s-1)) / q^(s-1/2) and multiplication by geometric factors
+d^s.  The n-fold nabla iterates the one-step rule on monomial polynomials;
+the tests hold it against the closed binomial expansion
 
     nabla^m f(s) = q^(m/2 - m s) sum_k [m k] (-1)^k q^(k(k-1)/2) f(s-k).
+
+On pure polynomials the module provides the covariant forward difference
+Delta P = (P(s+1) - P(s)) / q^(s-1/2) and the degree-raising operator action
+
+    q^(power + 1/2) * [ alpha P(X) - X P((X-1)/q) ],
+
+both on falling-basis polynomials, where each operator is nearly diagonal
+and costs O(deg):
+
+    [s+1]^(k)           = q^k [s]^(k) + x(k) [s]^(k-1)       (forward shift)
+    ((q-1)X + 1) [s]^(k) = q^k ([s]^(k) + (q-1) [s]^(k+1))    (times q^s)
+    X [s-1]^(k)         = [s]^(k+1)                           (X P((X-1)/q))
+
+all exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qkernels import MONOMIAL, LatticePoly, QContext, Scalar
+from .qkernels import FALLING, MONOMIAL, LatticePoly, QContext, Scalar, memo_scope
 
 
 @dataclass(frozen=True)
@@ -38,14 +46,19 @@ class WeightedLatticeFn:
     def times_geometric(self, d: Scalar) -> "WeightedLatticeFn":
         return WeightedLatticeFn(self.base * d, self.poly)
 
-    def scale(self, c: Scalar) -> "WeightedLatticeFn":
-        return WeightedLatticeFn(self.base, self.poly.scale(c))
-
 
 def shift_poly(p: LatticePoly, direction: int, ctx: QContext) -> LatticePoly:
-    """Compose with the lattice shift: s+1 maps X to qX+1, s-1 to (X-1)/q."""
+    """Compose with the lattice shift.  s+1 (X -> qX+1) acts on a falling
+    polynomial by [s+1]^(k) = q^k [s]^(k) + x(k) [s]^(k-1); s-1
+    (X -> (X-1)/q) on a monomial one, as `nabla` uses it."""
     if direction == 1:
-        return p.compose_affine(ctx.q, ctx.one())
+        if p.basis != FALLING:
+            raise ValueError("the forward shift expects the falling basis")
+        scope = memo_scope(ctx.q, ctx.exact)
+        out = [c * scope.qpow(k) for k, c in enumerate(p.coeffs)]
+        for k in range(1, len(out)):
+            out[k - 1] += p.coeffs[k] * scope.x(k)
+        return LatticePoly.falling(out)
     if direction == -1:
         return p.compose_affine(1 / ctx.q, -1 / ctx.q)
     raise ValueError("direction must be +1 or -1")
@@ -62,31 +75,27 @@ def nabla(f: WeightedLatticeFn, ctx: QContext) -> WeightedLatticeFn:
 
 
 def delta_cov(p: LatticePoly, ctx: QContext) -> LatticePoly:
-    """Covariant forward difference on polynomials:
+    """Covariant forward difference on falling polynomials:
     (P(qX+1) - P(X)) * q^(1/2) / ((q-1)X + 1).
 
     The division is exact because X = -1/(q-1) is fixed by X -> qX+1; the
-    degree drops by one and a leading coefficient p_n maps to
-    q^(1/2) [n]_q p_n.
+    degree drops by one.  Since (q-1)X + 1 = q^s, the quotient Q of the
+    numerator N solves N_j = q^j Q_j + (q-1) q^(j-1) Q_(j-1), which is
+    back-substituted from the top; what is left of N_0 is the remainder.
     """
     numerator = shift_poly(p, 1, ctx) - p
     if numerator.is_zero:
-        return LatticePoly.zero()
-    quotient, remainder = _divide_linear(numerator, ctx.q - 1, ctx.one())
-    if ctx.exact and remainder != 0:
-        raise ArithmeticError(f"covariant difference division left remainder {remainder}")
-    return quotient.scale(ctx.t)
-
-
-def _divide_linear(p: LatticePoly, a: Scalar, b: Scalar):
-    # divide by (a*X + b), returning (quotient, remainder)
-    work = list(p.coeffs)
-    out = [p.coeffs[0] * 0] * (len(work) - 1)
-    for i in range(len(work) - 1, 0, -1):
-        c = work[i] / a
-        out[i - 1] = c
-        work[i - 1] -= c * b
-    return LatticePoly.monomial(out), work[0]
+        return LatticePoly.zero(FALLING)
+    scope, unit = memo_scope(ctx.q, ctx.exact), ctx.q - 1
+    work = list(numerator.coeffs)
+    quotient = [None] * (len(work) - 1)
+    for j in range(len(work) - 1, 0, -1):
+        step = work[j] / unit  # q^(j-1) Q_(j-1)
+        quotient[j - 1] = step * scope.qpow(1 - j)
+        work[j - 1] -= step
+    if ctx.exact and work[0] != 0:
+        raise ArithmeticError(f"covariant difference division left remainder {work[0]}")
+    return LatticePoly.falling(quotient).scale(ctx.t)
 
 
 def rodrigues_elementary(
@@ -107,12 +116,15 @@ def rodrigues_elementary(
 
 
 def raising_apply(p: LatticePoly, alpha: Scalar, power: int, ctx: QContext) -> LatticePoly:
-    """Raising action on a polynomial:
+    """Raising action on a falling polynomial:
     q^(power + 1/2) * [alpha*P(X) - X*P((X-1)/q)].
 
-    Exact, degree-raising by one; the leading coefficient scales by
+    X*P((X-1)/q) moves each [s]^(k) to [s]^(k+1), so the action is exact
+    and raises the degree by one; the top falling coefficient scales by
     -q^(power + 1/2)."""
-    if p.basis != MONOMIAL:
-        raise ValueError("raising_apply expects the monomial basis")
-    core = p.scale(alpha) - shift_poly(p, -1, ctx).times_x()
-    return core.scale(ctx.q ** power * ctx.t)
+    if p.basis != FALLING:
+        raise ValueError("raising_apply expects the falling basis")
+    core = [alpha * c for c in p.coeffs] + [0]
+    for k, c in enumerate(p.coeffs):
+        core[k + 1] -= c
+    return LatticePoly.falling(core).scale(ctx.q ** power * ctx.t)

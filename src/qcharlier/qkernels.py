@@ -437,8 +437,8 @@ class MemoScope:
     (alpha q)^m, in `pairings` the unit pairings Lambda([s]^(j)[s]^(k)),
     and in `degenerate_orders` the decisions of
     `QContext.require_nondegenerate`.  `memos` holds the per-route
-    polynomial memos and the exact oracle's LU factors, keyed by (context,
-    multi-index).
+    polynomial memos, keyed by (context, multi-index), and the oracle's
+    solutions and LU factors, keyed by `active_key`.
     Every entry is computed by the operations the uncached code would run,
     in the same order, so cached values equal uncached ones bit for bit,
     floats included.
@@ -509,19 +509,32 @@ def memo_scope(q: Scalar, exact: bool) -> MemoScope:
     return MemoScope(q, exact)
 
 
-def scoped_memo(fn):
-    """Memoize fn(ctx, index) in the memo scope of ctx, so its entries are
-    dropped with the scope's tables when q changes."""
+def scoped_memo(key=lambda ctx, index: (ctx, index)):
+    """Memoize fn(ctx, index) under key(ctx, index) in the memo scope of
+    ctx, so its entries are dropped with the scope's tables when q changes.
+    The default key is the pair itself."""
 
-    @functools.wraps(fn)
-    def memoized(ctx: QContext, index: MultiIndex):
-        memo = memo_scope(ctx.q, ctx.exact).memos.setdefault(fn.__name__, {})
-        key = (ctx, index)
-        if key not in memo:
-            memo[key] = fn(ctx, index)
-        return memo[key]
+    def decorate(fn):
+        @functools.wraps(fn)
+        def memoized(ctx: QContext, index: MultiIndex):
+            memo = memo_scope(ctx.q, ctx.exact).memos.setdefault(fn.__name__, {})
+            entry = key(ctx, index)
+            if entry not in memo:
+                memo[entry] = fn(ctx, index)
+            return memo[entry]
 
-    return memoized
+        return memoized
+
+    return decorate
+
+
+def active_key(ctx: QContext, index: MultiIndex) -> tuple:
+    """The ordered (alpha_i, n_i) over the nonzero n_i.  The orthogonality
+    system of `index` reads nothing else of its context besides q, so all
+    (context, index) pairs at one q with the same key have the same system:
+    (n1, n2, 0) at (a, b, c) and (n1, n2) at (a, b), or an index whose zero
+    components carry a shifted weight."""
+    return tuple((a, ni) for a, ni in zip(ctx.alphas, index) if ni)
 
 
 def to_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:

@@ -9,6 +9,13 @@ every polynomial a verifier reads comes from it, those behind its
 coefficients included.  Each `verify_*` returns a residual `LatticePoly`
 that must be identically zero.
 
+The verifiers work in the falling basis [s]^(k).  Each operand is turned
+into falling form once (the oracle hands over its solution as solved, with
+no basis change); multiplying by X is the exact rewrite
+X [s]^(k) = q^k [s]^(k+1) + x(k) [s]^(k); the operators of `latticefn` act
+in O(deg) there; pairings read the Gram table; and only the residual is
+converted to monomials, once, at the end.
+
 Coefficient conventions.  The raising identity and the Rodrigues machinery
 hold with simple closed-form constants.  The lowering expansion, the
 difference equation built from it, and the down-neighbor coefficients of the
@@ -28,12 +35,15 @@ from typing import Callable, Optional, Tuple
 from .constructors import build_linear_system, moment_pairing
 from .latticefn import delta_cov, raising_apply
 from .qkernels import (
+    FALLING,
+    MONOMIAL,
     LatticePoly,
     MultiIndex,
     QContext,
     Scalar,
     binom2,
     falling_mul_falling,
+    from_falling_basis,
     to_falling_basis,
     x_of,
 )
@@ -42,7 +52,17 @@ Builder = Callable[[MultiIndex, QContext], LatticePoly]
 
 
 def _oracle(index: MultiIndex, ctx: QContext) -> LatticePoly:
-    return build_linear_system(index, ctx).poly
+    # exact: the oracle's solution, already in the falling basis; floats:
+    # its monomial result, whose conversion the recorded `limit` output pins
+    # bit for bit
+    return build_linear_system(index, ctx, FALLING if ctx.exact else MONOMIAL).poly
+
+
+def _falling(builder: Optional[Builder]) -> Builder:
+    """The builder (the oracle by default) with its polynomials in the
+    falling basis."""
+    build = builder or _oracle
+    return lambda index, ctx: to_falling_basis(build(index, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +100,7 @@ def nn_recurrence_coeffs(
     index = MultiIndex.coerce(index)
     if not 0 <= k < ctx.r:
         raise ValueError(f"component {k} out of range for r = {ctx.r}")
-    build = builder or _oracle
+    build = _falling(builder)
     b = _nn_b_closed_form(index, k, ctx)
     poly = build(index, ctx)
     d = []
@@ -108,14 +128,15 @@ def verify_nn_recurrence(
 ) -> LatticePoly:
     """Residual X C_n - C_{n+e_k} - b C_n - sum_i d_i C_{n-e_i} (zero expected)."""
     index = MultiIndex.coerce(index)
-    build = builder or _oracle
+    build = _falling(builder)
     coeffs = nn_recurrence_coeffs(index, k, ctx, builder=builder)
     poly = build(index, ctx)
-    residual = poly.times_x() - build(index.up(k), ctx) - poly.scale(coeffs.b)
+    residual = falling_mul_falling(poly, 1, ctx) - build(index.up(k), ctx)
+    residual = residual - poly.scale(coeffs.b)
     for i, di in enumerate(coeffs.d):
         if di != 0:
             residual = residual - build(index.down(i), ctx).scale(di)
-    return residual
+    return from_falling_basis(residual, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +153,11 @@ def verify_raising(
     the target polynomial living in the context with alpha_i divided by q.
     A modified context that fails validation raises ValidationError."""
     index = MultiIndex.coerce(index)
-    build = builder or _oracle
+    build = _falling(builder)
     lifted = raising_apply(build(index, ctx), ctx.alphas[i], index.weight, ctx)
     shifted_ctx = ctx.with_alpha(i, ctx.alphas[i] / ctx.q)
     target = build(index.up(i), shifted_ctx)
-    return lifted + target.scale(ctx.t)
+    return from_falling_basis(lifted + target.scale(ctx.t), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +183,7 @@ def lowering_coeffs(index, ctx: QContext, builder: Optional[Builder] = None):
     beta_i -> n_i as q -> 1.
     """
     index = MultiIndex.coerce(index)
-    build = builder or _oracle
+    build = _falling(builder)
     scaled = ctx.with_all_alphas(a * ctx.q for a in ctx.alphas)
     diff = delta_cov(build(index, ctx), ctx)
     betas = []
@@ -180,14 +201,14 @@ def lowering_coeffs(index, ctx: QContext, builder: Optional[Builder] = None):
 def verify_lowering(index, ctx: QContext, builder: Optional[Builder] = None) -> LatticePoly:
     """Residual Delta C_n - sum_i beta_i C_{n-e_i}^(q a) (zero expected)."""
     index = MultiIndex.coerce(index)
-    build = builder or _oracle
+    build = _falling(builder)
     scaled = ctx.with_all_alphas(a * ctx.q for a in ctx.alphas)
     residual = delta_cov(build(index, ctx), ctx)
     betas = lowering_coeffs(index, ctx, builder=builder)
     for i, beta in enumerate(betas):
         if beta != 0:
             residual = residual - build(index.down(i), scaled).scale(beta)
-    return residual
+    return from_falling_basis(residual, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +229,7 @@ def diff_eq_residual(index, ctx: QContext, builder: Optional[Builder] = None) ->
     second-order equation with coefficient q^(|n| - n_1 + 1) [n_1]_q.
     """
     index = MultiIndex.coerce(index)
-    build = builder or _oracle
+    build = _falling(builder)
     power = index.weight - 1
     lifted = delta_cov(build(index, ctx), ctx)
     for j in range(ctx.r):
@@ -225,7 +246,7 @@ def diff_eq_residual(index, ctx: QContext, builder: Optional[Builder] = None) ->
             if j != i:
                 term = raising_apply(term, ctx.q * ctx.alphas[j], power, ctx)
         residual = residual + term.scale(ctx.t * beta)
-    return residual
+    return from_falling_basis(residual, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +288,11 @@ def stepline_coeffs(
     the other cells they are zero (their polynomials are absent)."""
     if ctx.r != 2:
         raise ValueError(f"step-line relation needs r = 2, context has r = {ctx.r}")
-    build = builder or _oracle
+    build = _falling(builder)
     N = n1 + n2
 
     def p(m1, m2):
-        poly = build(MultiIndex((m1, m2)), ctx)
-        return to_falling_basis(poly, ctx).scale(ctx.q ** (-binom2(m1 + m2)))
+        return build(MultiIndex((m1, m2)), ctx).scale(ctx.q ** (-binom2(m1 + m2)))
 
     here = p(n1, n2)
     b = _nn_b_closed_form(MultiIndex((n1, n2)), 1, ctx)
@@ -298,21 +318,21 @@ def verify_stepline(
 ) -> LatticePoly:
     """Residual of the 4-term relation (zero expected on the valid domain;
     on the excluded cells it is a nonzero constant, kept as is)."""
-    build = builder or _oracle
+    build = _falling(builder)
     N = n1 + n2
     coeffs = stepline_coeffs(n1, n2, ctx, builder=builder)
 
     def p(m1, m2):
         if m1 < 0 or m2 < 0:
-            return LatticePoly.zero()
-        poly = build(MultiIndex((m1, m2)), ctx)
-        return poly.scale(ctx.q ** (-binom2(m1 + m2)))
+            return LatticePoly.zero(FALLING)
+        return build(MultiIndex((m1, m2)), ctx).scale(ctx.q ** (-binom2(m1 + m2)))
 
-    residual = p(n1, n2).times_x() - p(n1, n2 + 1).scale(ctx.q ** N)
-    residual = residual - p(n1, n2).scale(coeffs.b)
+    here = p(n1, n2)
+    residual = falling_mul_falling(here, 1, ctx) - p(n1, n2 + 1).scale(ctx.q ** N)
+    residual = residual - here.scale(coeffs.b)
     residual = residual - p(n1, n2 - 1).scale(coeffs.c)
     residual = residual - p(n1 - 1, n2 - 1).scale(coeffs.d)
-    return residual
+    return from_falling_basis(residual, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +346,7 @@ def orthogonality_residuals(index, ctx: QContext, builder: Optional[Builder] = N
     `boundary[i]` = Lambda_i(C * [s]^(n_i)) must be nonzero (that
     nonvanishing is what makes every multi-index here normal)."""
     index = MultiIndex.coerce(index)
-    build = builder or _oracle
+    build = _falling(builder)
     poly = build(index, ctx)
     defining = {}
     boundary = {}

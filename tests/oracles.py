@@ -15,9 +15,10 @@ import itertools
 from fractions import Fraction
 
 from qcharlier.classical import classical_build
-from qcharlier.constructors import ConstructionError, moment_pairing
+from qcharlier.constructors import ConstructionError, build_linear_system, moment_pairing
 from qcharlier.latticefn import WeightedLatticeFn, delta_cov, raising_apply, shift_poly
 from qcharlier.qkernels import (
+    FALLING,
     LatticePoly,
     MultiIndex,
     ValidationError,
@@ -27,15 +28,19 @@ from qcharlier.qkernels import (
     from_falling_basis,
     q_factorial,
     q_falling_number,
+    to_falling_basis,
     x_of,
 )
 from qcharlier.relations import (
     NNRecurrenceCoeffs,
     _nn_b_closed_form,
-    _oracle,
     lowering_coeffs,
     nn_recurrence_coeffs,
 )
+
+
+def _oracle(index, ctx):
+    return build_linear_system(index, ctx).poly
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +203,16 @@ def diff_eq_residual_single_family(index, ctx):
         prod_j E_{q alpha_j} [Delta C_n]
           = (-1)^r q^(-r(|n|-1) - C(r,2)) sum_i beta_i C_{n + 1 - e_i},
 
-    where E_a P = a P(X) - X P((X-1)/q) and 1 is the all-ones index."""
+    where E_a P = a P(X) - X P((X-1)/q) and 1 is the all-ones index.  The
+    residual is left in the falling basis, where the operators act."""
     index = MultiIndex.coerce(index)
     n = index.weight
-    lifted = delta_cov(_oracle(index, ctx), ctx)
+    lifted = delta_cov(to_falling_basis(_oracle(index, ctx), ctx), ctx)
     for j in range(ctx.r):
         # E without the power normalization: strip the q^power * t factor
         lifted = raising_apply(lifted, ctx.q * ctx.alphas[j], 0, ctx).scale(1 / ctx.t)
     scale = (-1) ** ctx.r * ctx.q ** (-(ctx.r * (n - 1) + binom2(ctx.r)))
-    rhs = LatticePoly.zero()
+    rhs = LatticePoly.zero(FALLING)
     betas = lowering_coeffs(index, ctx)
     for i, beta in enumerate(betas):
         if beta == 0:
@@ -215,7 +221,7 @@ def diff_eq_residual_single_family(index, ctx):
         for j in range(ctx.r):
             if j != i:
                 up = up.up(j)
-        rhs = rhs + _oracle(up, ctx).scale(beta)
+        rhs = rhs + to_falling_basis(_oracle(up, ctx), ctx).scale(beta)
     return lifted - rhs.scale(scale)
 
 

@@ -206,7 +206,7 @@ def test_zeros_after_float_gen_at_same_q(capsys, clear_caches):
     assert run_cli(capsys, "gen", *flags)[0] == 0
     exact = _exact_shadow(QContext.from_q_float(0.74, [0.35, 0.55]))
     for method in ("linear_system", "rodrigues"):
-        coeffs = build((6, 6), exact, method=method).coefficients
+        coeffs = build((6, 6), exact, method=method).poly.coeffs
         assert all(isinstance(c, Fraction) for c in coeffs)
     code, out, _ = run_cli(capsys, "zeros", *flags)
     assert code == 0

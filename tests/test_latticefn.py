@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eval_at, nabla_power_expansion, rodrigues_elementary_expanded, times_x
-from qcharlier import LatticePoly, QContext
+from qcharlier import FALLING, LatticePoly, QContext
 from qcharlier.latticefn import (
     WeightedLatticeFn,
     delta_cov,
@@ -15,7 +16,7 @@ from qcharlier.latticefn import (
     rodrigues_elementary,
     shift_poly,
 )
-from qcharlier.qkernels import x_of
+from qcharlier.qkernels import from_falling_basis, to_falling_basis, x_of
 
 coeff_lists = st.lists(
     st.fractions(min_value=Fraction(-12), max_value=Fraction(12), max_denominator=10),
@@ -24,6 +25,16 @@ coeff_lists = st.lists(
 )
 bases = st.fractions(min_value=Fraction(1, 5), max_value=Fraction(4), max_denominator=8).filter(
     lambda c: c != 0
+)
+falling_polys = st.lists(
+    st.fractions(min_value=Fraction(-12), max_value=Fraction(12), max_denominator=10),
+    min_size=0,
+    max_size=13,
+).map(LatticePoly.falling)
+#: t on both sides of 1
+t_values = st.one_of(
+    st.fractions(min_value=Fraction(1, 5), max_value=Fraction(19, 20), max_denominator=20),
+    st.fractions(min_value=Fraction(21, 20), max_value=Fraction(5, 2), max_denominator=20),
 )
 
 
@@ -36,11 +47,14 @@ def wlf(base, coeffs):
 # ---------------------------------------------------------------------------
 
 def test_shift_poly(ctx2, q2):
+    # the forward shift acts on falling polynomials, the backward one on
+    # monomial ones
     x = LatticePoly.monomial((0, 1))
-    assert shift_poly(x, 1, ctx2).coeffs == (1, q2)
+    forward = shift_poly(to_falling_basis(x, ctx2), 1, ctx2)
+    assert from_falling_basis(forward, ctx2).coeffs == (1, q2)
     assert shift_poly(x, -1, ctx2).coeffs == (-1 / q2, 1 / q2)
     const = LatticePoly.monomial((Fraction(3, 7),))
-    assert shift_poly(const, 1, ctx2) == const
+    assert shift_poly(to_falling_basis(const, ctx2), 1, ctx2) == to_falling_basis(const, ctx2)
     assert shift_poly(const, -1, ctx2) == const
 
 
@@ -49,7 +63,39 @@ def test_shift_poly(ctx2, q2):
 def test_shift_round_trip(coeffs):
     ctx = QContext.from_t("9/10", ["1/2"])
     poly = LatticePoly.monomial(coeffs)
-    assert shift_poly(shift_poly(poly, 1, ctx), -1, ctx) == poly
+    forward = from_falling_basis(shift_poly(to_falling_basis(poly, ctx), 1, ctx), ctx)
+    assert shift_poly(forward, -1, ctx) == poly
+
+
+@settings(max_examples=40)
+@given(falling_polys, t_values, st.integers(min_value=0, max_value=4))
+def test_falling_rules_match_monomial_composition(fall, t, power):
+    # each O(deg) falling-basis rule equals the monomial definition of its
+    # operator after conversion: the shift P(qX+1), the covariant difference
+    # t (P(qX+1) - P(X)) / ((q-1)X + 1), and the raising action
+    # q^(power+1/2) [alpha P - X P((X-1)/q)]
+    ctx = QContext.from_t(t, ["3/5"])
+    q, alpha = ctx.q, ctx.alphas[0]
+    poly = from_falling_basis(fall, ctx)
+    composed = poly.compose_affine(q, 1)
+    assert from_falling_basis(shift_poly(fall, 1, ctx), ctx) == composed
+    linear = LatticePoly.monomial((1, q - 1))
+    assert from_falling_basis(delta_cov(fall, ctx), ctx) * linear == (composed - poly).scale(t)
+    back = poly.compose_affine(1 / q, -1 / q).times_x()
+    expected = (poly.scale(alpha) - back).scale(q ** power * t)
+    assert from_falling_basis(raising_apply(fall, alpha, power, ctx), ctx) == expected
+
+
+def test_operators_refuse_the_other_basis(ctx2):
+    x = LatticePoly.monomial((0, 1))
+    for call in (
+        lambda: shift_poly(x, 1, ctx2),
+        lambda: shift_poly(to_falling_basis(x, ctx2), -1, ctx2),
+        lambda: delta_cov(x, ctx2),
+        lambda: raising_apply(x, ctx2.alphas[0], 0, ctx2),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_class_closed_under_x_and_geometric_multiplication(ctx2):
@@ -59,7 +105,6 @@ def test_class_closed_under_x_and_geometric_multiplication(ctx2):
     for s in range(0, 7):
         assert eval_at(times_x(f), s, ctx2) == x_of(s, ctx2) * eval_at(f, s, ctx2)
         assert eval_at(f.times_geometric(d), s, ctx2) == d ** s * eval_at(f, s, ctx2)
-        assert eval_at(f.scale(d), s, ctx2) == d * eval_at(f, s, ctx2)
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +156,16 @@ def test_nabla_commutes_with_forward_shift_pointwise(base, coeffs):
 # covariant forward difference on polynomials
 # ---------------------------------------------------------------------------
 
+def delta_cov_monomial(poly, ctx):
+    return from_falling_basis(delta_cov(to_falling_basis(poly, ctx), ctx), ctx)
+
+
 def test_delta_cov_examples(ctx2):
     x = LatticePoly.monomial((0, 1))
-    assert delta_cov(x, ctx2).coeffs == (ctx2.t,)
-    assert delta_cov(LatticePoly.monomial((Fraction(9),)), ctx2).is_zero
+    assert delta_cov_monomial(x, ctx2).coeffs == (ctx2.t,)
+    assert delta_cov_monomial(LatticePoly.monomial((Fraction(9),)), ctx2).is_zero
     x2 = LatticePoly.monomial((0, 0, 1))
-    out = delta_cov(x2, ctx2)
+    out = delta_cov_monomial(x2, ctx2)
     assert out.degree == 1
     assert out.leading == ctx2.t * x_of(2, ctx2)
 
@@ -126,7 +175,7 @@ def test_delta_cov_examples(ctx2):
 def test_delta_cov_degree_and_leading(coeffs):
     ctx = QContext.from_t("9/10", ["1/2"])
     poly = LatticePoly.monomial(coeffs)
-    out = delta_cov(poly, ctx)  # exact division; raises if a remainder appears
+    out = delta_cov_monomial(poly, ctx)  # exact division; raises if a remainder appears
     if poly.degree < 1:
         assert out.is_zero
     else:
@@ -139,7 +188,7 @@ def test_delta_cov_degree_and_leading(coeffs):
 def test_delta_cov_pointwise(coeffs):
     ctx = QContext.from_t("9/10", ["1/2"])
     poly = LatticePoly.monomial(coeffs)
-    out = delta_cov(poly, ctx)
+    out = delta_cov_monomial(poly, ctx)
     for s in range(0, 7):
         lhs = out.evaluate(x_of(s, ctx))
         rhs = (poly.evaluate(x_of(s + 1, ctx)) - poly.evaluate(x_of(s, ctx))) / ctx.q ** s * ctx.t
@@ -214,12 +263,14 @@ def test_rodrigues_expanded_path_agrees(n):
 # ---------------------------------------------------------------------------
 
 def test_raising_apply_on_constants(ctx2):
-    one = LatticePoly.one()
+    one = to_falling_basis(LatticePoly.one(), ctx2)
     a = ctx2.alphas[0]
     out = raising_apply(one, a, 0, ctx2)
-    assert out.coeffs == (ctx2.t * a, -ctx2.t)
+    assert out.basis == FALLING
+    # [s]^(1) = X, so the falling and monomial coefficients agree here
+    assert from_falling_basis(out, ctx2).coeffs == (ctx2.t * a, -ctx2.t)
     zero_alpha = raising_apply(one, Fraction(0), 0, ctx2)
-    assert zero_alpha.coeffs == (0, -ctx2.t)
+    assert from_falling_basis(zero_alpha, ctx2).coeffs == (0, -ctx2.t)
 
 
 @settings(max_examples=40)
@@ -229,7 +280,9 @@ def test_raising_apply_degree_and_leading(coeffs, power):
     poly = LatticePoly.monomial(coeffs)
     if poly.is_zero:
         return
-    out = raising_apply(poly, ctx.alphas[0], power, ctx)
+    out = from_falling_basis(
+        raising_apply(to_falling_basis(poly, ctx), ctx.alphas[0], power, ctx), ctx
+    )
     assert out.degree == poly.degree + 1
     # the X * P((X-1)/q) term supplies the new top term with a q^-deg factor
     assert out.leading == -(ctx.q ** (power - poly.degree)) * ctx.t * poly.leading

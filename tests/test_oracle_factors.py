@@ -1,8 +1,9 @@
 """The exact oracle's bordered LU factorization: it must equal the dense
 Gauss-Jordan reference, raise where the reference raises, name the place of
 a vanishing pivot, and not depend on the order in which the memo scope was
-filled.  The degenerate guard must refuse exactly the singular systems of a
-degenerate weight."""
+filled.  Systems with the same active key share one factorization and one
+solution.  The degenerate guard must refuse exactly the singular systems of
+a degenerate weight."""
 
 import itertools
 import time
@@ -11,8 +12,19 @@ from fractions import Fraction
 import pytest
 
 from oracles import dense_oracle
-from qcharlier import MultiIndex, QContext, ValidationError, build, build_linear_system
+from qcharlier import (
+    FALLING,
+    MONOMIAL,
+    MultiIndex,
+    QContext,
+    ValidationError,
+    build,
+    build_linear_system,
+    cli,
+    relations,
+)
 from qcharlier.constructors import METHODS, ConstructionError, _factors, _linear_system_poly
+from qcharlier.qkernels import active_key, memo_scope
 
 ALPHAS = ("1/2", "3/5", "7/10")
 GRID2 = list(itertools.product(range(7), repeat=2))  # the acceptance grids
@@ -44,7 +56,9 @@ def test_unguarded_grid_raises_where_reference_raises():
     for k in range(-3, 4):
         ctx = QContext(t=t, q=t * t, alphas=(a, a * (t * t) ** k))
         for parts in itertools.product(range(4), repeat=2):
-            oracle = _outcome(lambda p, c: _linear_system_poly(c, MultiIndex(p)), parts, ctx)
+            oracle = _outcome(
+                lambda p, c: _linear_system_poly(c, MultiIndex(p))[MONOMIAL], parts, ctx
+            )
             assert oracle == _outcome(dense_oracle, parts, ctx), (k, parts)
             if oracle is None:
                 raised.add((k, parts))
@@ -123,3 +137,57 @@ def test_factors_border_the_cached_parent(clear_caches):
     assert len(child_lower) == len(lower) + 1 and len(child_upper) == len(upper) + 1
     assert all(a is b for a, b in zip(lower, child_lower))
     assert all(a is b for a, b in zip(upper, child_upper))
+
+
+def test_shared_systems_share_one_memo_entry(clear_caches):
+    # (n1, n2, 0) at (a, b, c), (n1, n2) at (a, b), and an index whose zero
+    # component carries a raising-shifted weight have one system between them
+    clear_caches()
+    ctx3 = QContext.from_t("9/10", ALPHAS)
+    ctx2 = QContext.from_t("9/10", ALPHAS[:2])
+    shifted = ctx3.with_alpha(2, ctx3.alphas[2] / ctx3.q)
+    memos = memo_scope(ctx2.q, ctx2.exact).memos
+    for parts in ((2, 1), (3, 2), (0, 2), (1, 0)):
+        index, padded = MultiIndex(parts), MultiIndex(parts + (0,))
+        factors = _factors(ctx2, index)
+        entries = len(memos["_factors"])
+        assert _factors(ctx3, padded) == factors
+        assert _factors(shifted, padded) == factors
+        assert len(memos["_factors"]) == entries
+        for basis in (FALLING, MONOMIAL):
+            poly = build_linear_system(index, ctx2, basis).poly
+            assert build_linear_system(padded, ctx3, basis).poly is poly
+            assert build_linear_system(padded, shifted, basis).poly is poly
+    # the order of the components is part of the key
+    swapped = QContext.from_t("9/10", (ALPHAS[1], ALPHAS[0]))
+    assert active_key(swapped, MultiIndex((1, 2))) != active_key(ctx2, MultiIndex((2, 1)))
+    assert build_linear_system((1, 2), swapped).poly == build_linear_system((2, 1), ctx2).poly
+
+
+def test_verify_grid_factors_each_distinct_system_once(clear_caches, monkeypatch, capsys):
+    # after the checks of `verify --rmax 3 --nmax 3`, the factor memo holds
+    # one entry per distinct active key among the systems the verifiers
+    # asked for and their parents, and fewer entries than (context, index)
+    # pairs asked for
+    clear_caches()
+    asked = set()
+    oracle = relations.build_linear_system
+
+    def recording(index, ctx, *args):
+        asked.add((ctx, MultiIndex.coerce(index)))
+        return oracle(index, ctx, *args)
+
+    monkeypatch.setattr(relations, "build_linear_system", recording)
+    assert cli.main(["verify", "--rmax", "3", "--nmax", "3", "--quiet"]) == 0
+    capsys.readouterr()
+    needed = set()
+    for ctx, index in asked:
+        while index.weight:
+            needed.add(active_key(ctx, index))
+            index = index.down(max(i for i, ni in enumerate(index) if ni))
+    scope = memo_scope(Fraction(81, 100), True)
+    factors = scope.memos["_factors"]
+    assert set(factors) == needed
+    assert len(factors) < len({(ctx, index) for ctx, index in asked if index.weight})
+    solved = scope.memos["_linear_system_poly"]
+    assert set(solved) == {active_key(ctx, index) for ctx, index in asked}

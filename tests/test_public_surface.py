@@ -7,6 +7,7 @@ import importlib
 import pkgutil
 
 import qcharlier
+from qcharlier.constructors import QCharlierPoly
 from qcharlier.latticefn import WeightedLatticeFn
 
 PUBLIC = [
@@ -69,3 +70,8 @@ def test_test_references_are_not_in_the_package():
     assert found == []
     assert not hasattr(WeightedLatticeFn, "eval_at")
     assert not hasattr(WeightedLatticeFn, "times_x")
+    # accessors that only tests read: `poly.coeffs`, `poly.degree` and
+    # `poly.scale` say the same
+    assert not hasattr(WeightedLatticeFn, "scale")
+    assert not hasattr(QCharlierPoly, "coefficients")
+    assert not hasattr(QCharlierPoly, "degree")

@@ -14,6 +14,7 @@ from qcharlier import LatticePoly, MultiIndex, QContext, ValidationError, build_
 from qcharlier.latticefn import shift_poly
 from qcharlier.qkernels import (
     MemoScope,
+    active_key,
     binom2,
     falling_factorial_poly,
     falling_mul_falling,
@@ -210,16 +211,20 @@ def test_one_memo_scope_alive(clear_caches):
     first = QContext.from_t("9/10", ["1/2", "3/5"])
     build_linear_system((2, 1), first)
     # the oracle's LU factors live in the scope: the index and its chain of
-    # parents down to the first component
+    # parents down to the first component, each under its active key, the
+    # ordered (alpha_i, n_i) of its nonzero components
+    a1, a2 = first.alphas
+    chain = {((a1, 1),), ((a1, 2),), ((a1, 2), (a2, 1))}
     factors = memo_scope(first.q, first.exact).memos["_factors"]
-    assert set(factors) == {(first, MultiIndex(p)) for p in ((1, 0), (2, 0), (2, 1))}
+    assert set(factors) == chain
+    assert {active_key(first, MultiIndex(p)) for p in ((1, 0), (2, 0), (2, 1))} == chain
     scope = weakref.ref(memo_scope(first.q, first.exact))
     second = QContext.from_t("4/3", ["1/2", "3/5"])
     build_linear_system((2, 1), second)
     gc.collect()
     assert scope() is None
     # ... and die with it: the new scope factors from scratch
-    assert {ctx for ctx, _ in memo_scope(second.q, second.exact).memos["_factors"]} == {second}
+    assert set(memo_scope(second.q, second.exact).memos["_factors"]) == chain
     # the rule the benchmark applies between fixed op lists reaches every memo
     scope = weakref.ref(memo_scope(second.q, second.exact))
     clear_caches()

@@ -13,6 +13,7 @@ from oracles import (
     nn_recurrence_coeffs_product_form,
 )
 from qcharlier import (
+    MONOMIAL,
     LatticePoly,
     MultiIndex,
     QContext,
@@ -31,7 +32,7 @@ from qcharlier import (
 )
 from qcharlier import relations
 from qcharlier.latticefn import delta_cov
-from qcharlier.qkernels import x_of
+from qcharlier.qkernels import to_falling_basis, x_of
 from qcharlier.relations import stepline_valid
 
 
@@ -183,11 +184,10 @@ def test_lowering_product_form_breaks_at_two_active_components(ctx2):
     product = lowering_coeffs_product_form((1, 1), ctx2)
     assert true != product
     scaled = ctx2.with_all_alphas(a * ctx2.q for a in ctx2.alphas)
-    residual = delta_cov(build_linear_system((1, 1), ctx2).poly, ctx2)
+    residual = delta_cov(to_falling_basis(build_linear_system((1, 1), ctx2).poly, ctx2), ctx2)
     for i, beta in enumerate(product):
-        residual = residual - build_linear_system(
-            MultiIndex((1, 1)).down(i), scaled
-        ).poly.scale(beta)
+        down = build_linear_system(MultiIndex((1, 1)).down(i), scaled).poly
+        residual = residual - to_falling_basis(down, scaled).scale(beta)
     assert not residual.is_zero
 
 
@@ -279,6 +279,48 @@ def test_builder_replaces_the_oracle_in_every_verifier(ctx2, monkeypatch):
     assert verify_lowering(index, ctx2, builder=builder).is_zero
     assert diff_eq_residual(index, ctx2, builder=builder).is_zero
     assert verify_stepline(2, 1, ctx2, builder=builder).is_zero
+
+
+def test_residuals_come_back_as_monomial_polynomials(ctx2):
+    # the verifiers work in the falling basis but return monomial residuals:
+    # with C_(1,1) perturbed, each residual equals its identity computed on
+    # the builder's monomial polynomials, with monomial-basis operators
+    builder = perturbing_builder((1, 1), coeff=1)
+    index = MultiIndex((1, 1))
+    t, q = ctx2.t, ctx2.q
+    poly = builder(index, ctx2)
+
+    def residual_checked(residual, expected):
+        assert residual.basis == MONOMIAL and not residual.is_zero
+        assert residual == expected
+
+    for k in range(2):
+        coeffs = nn_recurrence_coeffs(index, k, ctx2, builder=builder)
+        expected = poly.times_x() - builder(index.up(k), ctx2) - poly.scale(coeffs.b)
+        for i, di in enumerate(coeffs.d):
+            expected = expected - builder(index.down(i), ctx2).scale(di)
+        residual_checked(verify_nn_recurrence(index, k, ctx2, builder=builder), expected)
+    for i in range(2):
+        shifted = ctx2.with_alpha(i, ctx2.alphas[i] / q)
+        back = poly.compose_affine(1 / q, -1 / q).times_x()  # X P((X-1)/q)
+        lifted = (poly.scale(ctx2.alphas[i]) - back).scale(q ** index.weight * t)
+        expected = lifted + builder(index.up(i), shifted).scale(t)
+        residual_checked(verify_raising(index, i, ctx2, builder=builder), expected)
+    coeffs = stepline_coeffs(1, 1, ctx2, builder=builder)
+
+    def p(m1, m2):
+        return builder(MultiIndex((m1, m2)), ctx2).scale(q ** -((m1 + m2) * (m1 + m2 - 1) // 2))
+
+    expected = p(1, 1).times_x() - p(1, 2).scale(q ** 2) - p(1, 1).scale(coeffs.b)
+    expected = expected - p(1, 0).scale(coeffs.c) - p(0, 0).scale(coeffs.d)
+    residual_checked(verify_stepline(1, 1, ctx2, builder=builder), expected)
+    # at (1,1):1 the lowering coefficients absorb the defect; (2,1):1 shows
+    builder = perturbing_builder((2, 1), coeff=1)
+    for residual in (
+        verify_lowering((2, 1), ctx2, builder=builder),
+        diff_eq_residual((2, 1), ctx2, builder=builder),
+    ):
+        assert residual.basis == MONOMIAL and not residual.is_zero
 
 
 # ---------------------------------------------------------------------------
