@@ -21,7 +21,9 @@ Construction routes:
   index to index along the lattice (the same system, factored
   incrementally); on float contexts with pivoted elimination.  Solutions
   and factors are kept once per distinct system (`active_key`), and the
-  falling solution is kept beside the monomial polynomial.
+  falling solution is kept beside the monomial polynomial.  Its rows, and
+  on exact contexts its right-hand sides, are read from the Gram table of
+  the memo scope (`MemoScope.pairing`).
 * `build_rodrigues` - weight-conjugated iterated differences with the
   closed-form normalizing constant.
 * `build_explicit_r2` - finite double sum in the falling basis (r = 2).
@@ -43,7 +45,6 @@ from .qkernels import (
     FALLING,
     MONOMIAL,
     LatticePoly,
-    MemoScope,
     MultiIndex,
     QContext,
     Scalar,
@@ -80,38 +81,20 @@ def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
 
     On exact contexts this is sum_j c_j Lambda_i([s]^(j) [s]^(k)) over the
     falling coefficients c_j of p, each unit pairing read from the Gram
-    table of the memo scope (`_unit_pairing`).  On float contexts the
+    table of the memo scope (`MemoScope.pairing`).  On float contexts the
     product is expanded by the factors of [s]^(k) and contracted with the
-    normalized moments (alpha_i q)^m, an operation order that the recorded
-    `gen --q` output pins bit for bit.
+    normalized moments (alpha_i q)^m (`MemoScope.contract`), an operation
+    order that the recorded `gen --q` output pins bit for bit.
     """
     scope = memo_scope(ctx.q, ctx.exact)
     fall = to_falling_basis(p, ctx)
+    alpha = ctx.alphas[i]
     if ctx.exact:
-        alpha = ctx.alphas[i]
         total = scope.zero
         for j, c in enumerate(fall.coeffs):
-            total += c * _unit_pairing(alpha, j, k, scope)
+            total += c * scope.pairing(alpha, j, k)
         return total
-    return _contract(falling_mul_falling(fall, k, ctx), ctx.alphas[i], scope)
-
-
-def _contract(fall: LatticePoly, alpha: Scalar, scope: MemoScope) -> Scalar:
-    total = scope.zero
-    for c, nu in zip(fall.coeffs, scope.moments(alpha, len(fall.coeffs))):
-        total += c * nu
-    return total
-
-
-def _unit_pairing(alpha: Scalar, j: int, k: int, scope: MemoScope) -> Scalar:
-    """Lambda([s]^(j) [s]^(k)) at weight parameter alpha: the falling product
-    [s]^(j) [s]^(k) contracted with the moments (alpha q)^m.  Kept in the
-    memo scope (the Gram table), so every context at this q with this alpha
-    shares it."""
-    key = (alpha, j, k)
-    if key not in scope.pairings:
-        scope.pairings[key] = _contract(scope.falling_product(j, k), alpha, scope)
-    return scope.pairings[key]
+    return scope.contract(falling_mul_falling(fall, k, ctx), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +121,14 @@ def _linear_system_poly(ctx: QContext, index: MultiIndex) -> dict:
     scope = memo_scope(ctx.q, ctx.exact)
     lead = ctx.q ** binom2(n)
     if ctx.exact:
-        rhs = [-lead * _unit_pairing(ctx.alphas[i], n, k, scope) for i, k in _rows(index)]
+        rhs = [-lead * scope.pairing(ctx.alphas[i], n, k) for i, k in _rows(index)]
         solution = _lu_solve(_factors(ctx, index), rhs)
     else:
         # floats keep the pivoted elimination and its operation order, which
         # the recorded `gen --q ... --method system` output pins bit for bit
         top = LatticePoly.falling((ctx.zero(),) * n + (lead,))
         rows = [
-            [_unit_pairing(ctx.alphas[i], j, k, scope) for j in range(n)]
+            [scope.pairing(ctx.alphas[i], j, k) for j in range(n)]
             for i, k in _rows(index)
         ]
         rhs = [-moment_pairing(top, k, i, ctx) for i, k in _rows(index)]
@@ -162,58 +145,50 @@ def _rows(index: MultiIndex):
     return [(i, k) for i, ni in enumerate(index) for k in range(ni)]
 
 
+@scoped_memo(key=active_key)
 def _factors(ctx: QContext, index: MultiIndex):
-    """LU factors, without pivoting, of the exact oracle matrix of `index`
-    (rows `_rows(index)`, columns j < |n|, entries Lambda_i([s]^(j)[s]^(k))).
+    """LU factors, without pivoting, of the exact oracle matrix of a nonzero
+    `index` (rows `_rows(index)`, columns j < |n|, entries
+    Lambda_i([s]^(j)[s]^(k))).
 
     Returns (lower, upper): row m of L left of its unit diagonal, and column
     m of U down to its diagonal.  Removing the last row and column of the
     matrix of `index` leaves that of its parent index.down(p), p the last
-    nonzero component, so the factors border the parent's.  With u the new
-    column over the parent's rows, v the new row over the parent's columns
-    and a the corner entry, the new column of U is y = L^-1 u, the new row
-    of L is w with w U = v, and the new pivot is a - w.y.  No row is
-    swapped, so the rows keep the order of `_rows`.  The walk goes down to
-    the deepest ancestor in the memo scope, then borders back up, storing
-    each index on the way.  Entries are keyed by `active_key`, which fixes
-    the matrix, so an index shares its factors with every index and context
-    of the same key.  A zero pivot means a singular leading block.
-    The ratio guard and the degenerate guard (`_check_index`, before
-    construction) rule out the known causes; a zero pivot that still occurs
-    raises ConstructionError naming the multi-index and the row (i, k), i
-    from 1.
+    nonzero component, so the factors border the parent's, which come from
+    the recursion (the zero index has empty factors and no memo entry).
+    With u the new column over the parent's rows, v the new row over the
+    parent's columns and a the corner entry, the new column of U is
+    y = L^-1 u, the new row of L is w with w U = v, and the new pivot is
+    a - w.y.  No row is swapped, so the rows keep the order of `_rows`.
+    Entries are keyed by `active_key`, which fixes the matrix, so an index
+    shares its factors with every index and context of the same key.  A
+    zero pivot means a singular leading block.  The ratio guard and the
+    degenerate guard (`_check_index`, before construction) rule out the
+    known causes; a zero pivot that still occurs raises ConstructionError
+    naming the multi-index and the row (i, k), i from 1.
     """
     scope = memo_scope(ctx.q, ctx.exact)
-    memo = scope.memos.setdefault("_factors", {})
-    chain = []
-    key = active_key(ctx, index)
-    while key not in memo and index.weight:
-        chain.append((index, key))
-        index = index.down(_rows(index)[-1][0])
-        key = active_key(ctx, index)
-    lower, upper = memo.get(key, ((), ()))
-    for index, key in reversed(chain):
-        rows = _rows(index)
-        p, k = rows[-1]
-        alpha, j = ctx.alphas[p], len(rows) - 1
-        y = _forward(lower, [_unit_pairing(ctx.alphas[i], j, ki, scope) for i, ki in rows[:-1]])
-        w = []
-        for m, col in enumerate(upper):
-            acc = _unit_pairing(alpha, m, k, scope)
-            for wl, ul in zip(w, col):
-                acc -= wl * ul
-            w.append(acc / col[m])
-        pivot = _unit_pairing(alpha, j, k, scope)
-        for wl, yl in zip(w, y):
-            pivot -= wl * yl
-        if pivot == 0:
-            raise ConstructionError(
-                f"singular orthogonality system for {index.parts}: the pivot of row "
-                f"(i, k) = ({p + 1}, {k}) vanishes (degenerate parameters)"
-            )
-        lower, upper = lower + (tuple(w),), upper + (tuple(y) + (pivot,),)
-        memo[key] = (lower, upper)
-    return lower, upper
+    rows = _rows(index)
+    p, k = rows[-1]
+    parent = index.down(p)
+    lower, upper = _factors(ctx, parent) if parent.weight else ((), ())
+    alpha, j = ctx.alphas[p], len(rows) - 1
+    y = _forward(lower, [scope.pairing(ctx.alphas[i], j, ki) for i, ki in rows[:-1]])
+    w = []
+    for m, col in enumerate(upper):
+        acc = scope.pairing(alpha, m, k)
+        for wl, ul in zip(w, col):
+            acc -= wl * ul
+        w.append(acc / col[m])
+    pivot = scope.pairing(alpha, j, k)
+    for wl, yl in zip(w, y):
+        pivot -= wl * yl
+    if pivot == 0:
+        raise ConstructionError(
+            f"singular orthogonality system for {index.parts}: the pivot of row "
+            f"(i, k) = ({p + 1}, {k}) vanishes (degenerate parameters)"
+        )
+    return lower + (tuple(w),), upper + (tuple(y) + (pivot,),)
 
 
 def _forward(lower, b):
@@ -277,12 +252,6 @@ def rodrigues_constant(index, ctx: QContext) -> Scalar:
 def build_rodrigues(index, ctx: QContext) -> QCharlierPoly:
     index = MultiIndex.coerce(index)
     _check_index(index, ctx)
-    poly = _rodrigues_poly(ctx, index)
-    return QCharlierPoly(ctx, index, poly, "rodrigues")
-
-
-@scoped_memo()
-def _rodrigues_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     fn = WeightedLatticeFn(ctx.one(), LatticePoly.one())
     for i, ni in enumerate(index):
         fn = rodrigues_elementary(fn, ctx.alphas[i], ni, ctx)
@@ -292,7 +261,7 @@ def _rodrigues_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     poly = fn.poly.scale(rodrigues_constant(index, ctx))
     if ctx.exact and (poly.degree != index.weight or poly.leading != 1):
         raise ConstructionError(f"pipeline result for {index.parts} is not monic")
-    return poly
+    return QCharlierPoly(ctx, index, poly, "rodrigues")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +369,7 @@ def _recurrence_step(ctx: QContext, prev: MultiIndex, k: int, prev_poly: Lattice
     return out
 
 
-def build(index, ctx: QContext, method: str = "linear_system", path=None) -> QCharlierPoly:
+def build(index, ctx: QContext, method: str = "linear_system") -> QCharlierPoly:
     """Dispatch by method name (the CLI entry point uses this)."""
     index = MultiIndex.coerce(index)
     if method == "linear_system":
@@ -408,7 +377,7 @@ def build(index, ctx: QContext, method: str = "linear_system", path=None) -> QCh
     if method == "rodrigues":
         return build_rodrigues(index, ctx)
     if method == "recurrence":
-        return build_recurrence(index, ctx, path=path)
+        return build_recurrence(index, ctx)
     if method == "explicit_r2":
         if len(index) != 2:
             raise ValueError("explicit_r2 needs a two-component multi-index")

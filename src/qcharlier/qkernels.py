@@ -44,6 +44,25 @@ def _log(x: Scalar) -> float:
     return math.log(x)
 
 
+def _q_exponent(ratio: Scalar, q: Scalar) -> Optional[int]:
+    """The integer k with ratio == q**k, or None.
+
+    Logarithms place k within one of the nearest integer; equality then
+    decides exactly.  A rational q**k with k != 0 has a numerator or
+    denominator of at least 2**|k|, so no larger exponent can match and
+    no such power is built.
+    """
+    estimate = round(_log(ratio) / _log(q))
+    bound = (
+        max(ratio.numerator, ratio.denominator).bit_length()
+        if isinstance(ratio, Fraction) else math.inf
+    )
+    for k in (estimate - 1, estimate, estimate + 1):
+        if abs(k) <= bound and ratio == q ** k:
+            return k
+    return None
+
+
 @dataclass(frozen=True)
 class QContext:
     """Validated parameter bundle shared by every construction.
@@ -97,27 +116,9 @@ class QContext:
                     "distinctness", f"alpha_{i + 1} == alpha_{j + 1} == {self.alphas[i]}"
                 )
         for i, j in itertools.combinations(range(self.r), 2):
-            k = self._q_exponent(self.alphas[i] / self.alphas[j])
+            k = _q_exponent(self.alphas[i] / self.alphas[j], self.q)
             if k is not None:
                 raise ValidationError("ratio", f"alpha_{i + 1}/alpha_{j + 1} equals q**{k}")
-
-    def _q_exponent(self, ratio: Scalar) -> Optional[int]:
-        """The integer k with ratio == q**k, or None.
-
-        Logarithms place k within one of the nearest integer; equality then
-        decides exactly.  A rational q**k with k != 0 has a numerator or
-        denominator of at least 2**|k|, so no larger exponent can match and
-        no such power is built.
-        """
-        estimate = round(_log(ratio) / _log(self.q))
-        bound = (
-            max(ratio.numerator, ratio.denominator).bit_length()
-            if isinstance(ratio, Fraction) else math.inf
-        )
-        for k in (estimate - 1, estimate, estimate + 1):
-            if abs(k) <= bound and ratio == self.q ** k:
-                return k
-        return None
 
     def require_convergent_measures(self) -> None:
         """Guard for operations that sum the weights as infinite series.
@@ -146,22 +147,13 @@ class QContext:
         """
         for i, ni in enumerate(index):
             # m >= 1, so only n_i >= 2 can exceed it
-            m = self._degenerate_order(self.alphas[i]) if ni >= 2 else None
+            m = memo_scope(self.q, self.exact).degenerate_order(self.alphas[i]) if ni >= 2 else None
             if m is not None and ni > m:
                 raise ValidationError(
                     "degenerate",
                     f"(1-q)*alpha_{i + 1}*q**{m} = 1 at alpha_{i + 1} = {self.alphas[i]}, so "
                     f"every system with n_{i + 1} > {m} is singular; got n = {index.parts}",
                 )
-
-    def _degenerate_order(self, alpha: Scalar) -> Optional[int]:
-        """The integer m >= 1 with (1-q)*alpha*q^m = 1, or None; decided
-        exactly by `_q_exponent`, once per (alpha, q) in the memo scope."""
-        orders = memo_scope(self.q, self.exact).degenerate_orders
-        if alpha not in orders:
-            m = self._q_exponent(1 / ((1 - self.q) * alpha)) if self.q < 1 else None
-            orders[alpha] = m if m is not None and m >= 1 else None
-        return orders[alpha]
 
     def with_alpha(self, i: int, value: Scalar) -> "QContext":
         """New validated context with the i-th weight parameter replaced."""
@@ -340,7 +332,9 @@ class LatticePoly:
                 step[k] += a * v
                 step[k + 1] += a * u
             step[0] += c
-            out = LatticePoly(MONOMIAL, step).coeffs
+            while step and step[-1] == 0:
+                step.pop()
+            out = step
         return LatticePoly(MONOMIAL, out)
 
     def evaluate(self, x: Scalar) -> Scalar:
@@ -434,11 +428,13 @@ class MemoScope:
     What depends on q alone: the powers q^m, the lattice values x(j), the
     falling-factorial polynomials [s]^(k) and the falling products
     [s]^(j)[s]^(k).  What depends on (alpha, q): the moment powers
-    (alpha q)^m, in `pairings` the unit pairings Lambda([s]^(j)[s]^(k)),
-    and in `degenerate_orders` the decisions of
-    `QContext.require_nondegenerate`.  `memos` holds the per-route
-    polynomial memos, keyed by (context, multi-index), and the oracle's
-    solutions and LU factors, keyed by `active_key`.
+    (alpha q)^m, the Gram table of unit pairings Lambda([s]^(j)[s]^(k))
+    (`pairing`) and the degenerate orders that
+    `QContext.require_nondegenerate` decides (`degenerate_order`).  Each
+    table is read through its method.  `memos` holds the tables of the
+    functions wrapped by `scoped_memo`: the recurrence route's polynomials,
+    keyed by (context, multi-index), and the oracle's solutions and LU
+    factors, keyed by `active_key`.
     Every entry is computed by the operations the uncached code would run,
     in the same order, so cached values equal uncached ones bit for bit,
     floats included.
@@ -453,8 +449,8 @@ class MemoScope:
         self._falling = [LatticePoly.one()]
         self._products = {}
         self._moments = {}
-        self.pairings = {}
-        self.degenerate_orders = {}
+        self._pairings = {}
+        self._degenerate_orders = {}
         self.memos = {}
 
     def qpow(self, m: int) -> Scalar:
@@ -497,6 +493,32 @@ class MemoScope:
         while len(powers) < count:
             powers.append(powers[-1] * (alpha * self.q))
         return powers
+
+    def contract(self, fall: LatticePoly, alpha: Scalar) -> Scalar:
+        """A falling-basis polynomial contracted with the moments (alpha q)^m:
+        its pairing with 1 under the functional of alpha."""
+        total = self.zero
+        for c, nu in zip(fall.coeffs, self.moments(alpha, len(fall.coeffs))):
+            total += c * nu
+        return total
+
+    def pairing(self, alpha: Scalar, j: int, k: int) -> Scalar:
+        """Lambda([s]^(j) [s]^(k)) at weight parameter alpha: the falling
+        product contracted with the moments.  Kept once per (alpha, j, k)
+        (the Gram table), so every context at this q with this alpha shares
+        it."""
+        key = (alpha, j, k)
+        if key not in self._pairings:
+            self._pairings[key] = self.contract(self.falling_product(j, k), alpha)
+        return self._pairings[key]
+
+    def degenerate_order(self, alpha: Scalar) -> Optional[int]:
+        """The integer m >= 1 with (1-q)*alpha*q^m = 1, or None; decided
+        exactly by `_q_exponent`, once per alpha."""
+        if alpha not in self._degenerate_orders:
+            m = _q_exponent(1 / ((1 - self.q) * alpha), self.q) if self.q < 1 else None
+            self._degenerate_orders[alpha] = m if m is not None and m >= 1 else None
+        return self._degenerate_orders[alpha]
 
 
 @functools.lru_cache(maxsize=1)
@@ -555,10 +577,12 @@ def to_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
 
 
 def from_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
+    """Triangular conversion falling -> monomial, summed into one list."""
     if p.basis == MONOMIAL:
         return p
-    out = LatticePoly.zero()
+    out = [0] * len(p.coeffs)
     for d, c in enumerate(p.coeffs):
         if c != 0:
-            out = out + falling_factorial_poly(d, ctx).scale(c)
-    return out
+            for i, b in enumerate(falling_factorial_poly(d, ctx).coeffs):
+                out[i] += c * b
+    return LatticePoly.monomial(out)

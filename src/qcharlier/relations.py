@@ -13,7 +13,7 @@ The verifiers work in the falling basis [s]^(k).  Each operand is turned
 into falling form once (the oracle hands over its solution as solved, with
 no basis change); multiplying by X is the exact rewrite
 X [s]^(k) = q^k [s]^(k+1) + x(k) [s]^(k); the operators of `latticefn` act
-in O(deg) there; pairings read the Gram table; and only the residual is
+in O(deg) there; each pairing reads the Gram table; and only the residual is
 converted to monomials, once, at the end.
 
 Coefficient conventions.  The raising identity and the Rodrigues machinery

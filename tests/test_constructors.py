@@ -18,7 +18,7 @@ from qcharlier import (
     rodrigues_constant,
 )
 from qcharlier.cli import _exact_shadow
-from qcharlier.constructors import _contract, moment_pairing
+from qcharlier.constructors import moment_pairing
 from qcharlier.qkernels import (
     FALLING,
     MONOMIAL,
@@ -204,7 +204,7 @@ def test_float_moment_pairing_keeps_its_operation_order(q, coeffs, case):
     ctx = QContext.from_q_float(q, [0.35, 0.55])
     p = LatticePoly(basis, coeffs)
     fall = falling_mul_falling(to_falling_basis(p, ctx), k, ctx)
-    expected = _contract(fall, ctx.alphas[i], memo_scope(ctx.q, ctx.exact))
+    expected = memo_scope(ctx.q, ctx.exact).contract(fall, ctx.alphas[i])
     assert moment_pairing(p, k, i, ctx) == expected
 
 

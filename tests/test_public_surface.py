@@ -4,9 +4,11 @@ The references in tests/oracles.py are second paths that no command runs;
 defining them in the package again would ship a duplicate path."""
 
 import importlib
+import inspect
 import pkgutil
 
 import qcharlier
+from qcharlier import QContext, build, constructors
 from qcharlier.constructors import QCharlierPoly
 from qcharlier.latticefn import WeightedLatticeFn
 
@@ -75,3 +77,13 @@ def test_test_references_are_not_in_the_package():
     assert not hasattr(WeightedLatticeFn, "scale")
     assert not hasattr(QCharlierPoly, "coefficients")
     assert not hasattr(QCharlierPoly, "degree")
+
+
+def test_memo_tables_have_one_owner():
+    # the Gram table and the degenerate orders are read through `MemoScope`
+    # methods, and the oracle's factors through `scoped_memo`; no route
+    # keeps a memo of its own
+    for name in ("_unit_pairing", "_contract", "_rodrigues_poly"):
+        assert not hasattr(constructors, name)
+    assert not hasattr(QContext, "_degenerate_order")
+    assert "path" not in inspect.signature(build).parameters

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import q_binomial, weight_masses, weight_partial_sums
 from qcharlier import LatticePoly, MultiIndex, QContext, ValidationError, build_linear_system
+from qcharlier import qkernels
 from qcharlier.latticefn import shift_poly
 from qcharlier.qkernels import (
     MemoScope,
@@ -76,6 +77,33 @@ def test_convergence_guard():
         ctx.require_convergent_measures()
     assert err.value.guard == "convergence"
     QContext.from_t("9/10", ["1/2"]).require_convergent_measures()
+
+
+def test_degenerate_order_is_decided_once_per_alpha(clear_caches, monkeypatch):
+    # at q = 1/4, (1-q)*alpha*q = 1 at alpha = 16/3, so m = 1 there; 1/2 has
+    # no such m.  Two contexts at one q share the memo scope, and with it
+    # the decision for their common alpha
+    clear_caches()
+    first = QContext.from_t("1/2", ["1/2", "16/3"])
+    second = QContext.from_t("1/2", ["16/3", "2/3"])
+    ratios = []
+    exponent = qkernels._q_exponent
+
+    def counted(ratio, q):
+        ratios.append(ratio)
+        return exponent(ratio, q)
+
+    monkeypatch.setattr(qkernels, "_q_exponent", counted)
+    first.require_nondegenerate(MultiIndex((2, 1)))
+    for ctx, parts in ((first, (0, 2)), (second, (2, 0)), (second, (3, 1))):
+        with pytest.raises(ValidationError) as err:
+            ctx.require_nondegenerate(MultiIndex(parts))
+        assert err.value.guard == "degenerate"
+    second.require_nondegenerate(MultiIndex((1, 3)))
+    assert ratios == [Fraction(8, 3), Fraction(1, 4), Fraction(2)]
+    scope = memo_scope(first.q, first.exact)
+    assert [scope.degenerate_order(a) for a in (Fraction(1, 2), Fraction(16, 3))] == [None, 1]
+    assert len(ratios) == 3
 
 
 def test_multi_index_operations():
