@@ -26,7 +26,8 @@ Construction routes:
   the memo scope (`MemoScope.pairing`).
 * `build_rodrigues` - weight-conjugated iterated differences with the
   closed-form normalizing constant.
-* `build_explicit_r2` - finite double sum in the falling basis (r = 2).
+* `build_explicit_r2` - finite double sum in the falling basis (r = 2),
+  a convolution of two one-index sequences.
 * `build_recurrence` - iterates the nearest-neighbor relation from C_0 = 1;
   on exact contexts in the falling basis, where multiplying by X is an
   exact rewrite and each pairing reads the Gram table without a basis
@@ -53,8 +54,6 @@ from .qkernels import (
     falling_mul_falling,
     from_falling_basis,
     memo_scope,
-    q_factorial,
-    q_falling_number,
     scoped_memo,
     to_falling_basis,
 )
@@ -275,6 +274,11 @@ def build_explicit_r2(n1: int, n2: int, ctx: QContext) -> QCharlierPoly:
             sum_{k,l} [n1]^(k) [n2]^(l) / ([k]! [l]!) q^(C(k,2)+C(l,2))
                       (-q^-n1/a1)^k (-q^-n2/a2)^l [s]^(k+l).
 
+    The summand factors as A_k B_l, with
+    A_k = [n1]^(k)/[k]! q^C(k,2) (-q^-n1/a1)^k and B_l the same for (n2, a2),
+    so the falling coefficient of [s]^(m) is the convolution
+    sum_{k+l=m} A_k B_l, O(n1 n2).  Each sequence is built from its previous
+    term by one ratio, A_k = A_(k-1) x(n1-k+1)/x(k) q^(k-1) (-q^-n1/a1).
     The sum is assembled so every half-integer lattice power cancels; the
     result is exactly the degree-(n1+n2) monic polynomial of the other
     constructors.
@@ -287,14 +291,20 @@ def build_explicit_r2(n1: int, n2: int, ctx: QContext) -> QCharlierPoly:
     prefactor = (
         (-a1) ** n1 * (-a2) ** n2 * ctx.q ** (n1 * n1 + n1 * n2 + n2 * n2)
     )
+    scope = memo_scope(ctx.q, ctx.exact)
+
+    def terms(n, a):
+        step = -scope.qpow(-n) / a
+        out = [ctx.one()]
+        for k in range(1, n + 1):
+            out.append(out[-1] * (scope.x(n - k + 1) / scope.x(k) * scope.qpow(k - 1) * step))
+        return out
+
     fall = [ctx.zero()] * (n1 + n2 + 1)
-    for k in range(n1 + 1):
-        for l in range(n2 + 1):
-            term = q_falling_number(n1, k, ctx) * q_falling_number(n2, l, ctx)
-            term /= q_factorial(k, ctx) * q_factorial(l, ctx)
-            term *= ctx.q ** (binom2(k) + binom2(l))
-            term *= (-1) ** (k + l) * (ctx.q ** n1 * a1) ** (-k) * (ctx.q ** n2 * a2) ** (-l)
-            fall[k + l] += term
+    right = terms(n2, a2)
+    for k, ak in enumerate(terms(n1, a1)):
+        for l, bl in enumerate(right):
+            fall[k + l] += ak * bl
     poly = from_falling_basis(LatticePoly.falling(fall), ctx).scale(prefactor)
     if ctx.exact and (poly.degree != index.weight or poly.leading != 1):
         raise ConstructionError(f"double sum for {index.parts} is not monic")

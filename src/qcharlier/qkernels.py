@@ -4,7 +4,7 @@ Everything here is generic over the scalar backend carried by `QContext`:
 exact contexts hold `Fraction` values of t (with q = t**2 so that the
 half-integer lattice powers q**(1/2) stay inside the rational field), while
 approximate contexts hold floats.  The module provides the one polynomial
-type of the package (`LatticePoly`), q-integers and q-factorials, and the
+type of the package (`LatticePoly`), the lattice values x(s), and the
 degree-triangular change of basis between monomials in X = x(s) and the
 falling-factorial polynomials [s]^(k) = x(s) x(s-1) ... x(s-k+1).
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
@@ -182,7 +183,13 @@ class MultiIndex:
     parts: Tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        try:
+            parts = tuple(map(operator.index, parts))
+        except TypeError:
+            # a part like 1.9 (or 2.0) is refused, not truncated
+            bad = next(p for p in parts if not hasattr(p, "__index__"))
+            raise ValueError(f"multi-index part {bad!r} is not an integer") from None
         if any(p < 0 for p in parts):
             raise ValueError(f"multi-index parts must be nonnegative, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -322,9 +329,19 @@ class LatticePoly:
         return LatticePoly(MONOMIAL, (0,) + self.coeffs)
 
     def compose_affine(self, u: Scalar, v: Scalar) -> "LatticePoly":
-        """P(uX + v), by Horner's rule in the monomial basis."""
+        """P(uX + v), by Horner's rule in the monomial basis.
+
+        When u, v and every coefficient are rational, write uX + v as
+        (U X + V)/W and the coefficients over one common denominator D, all
+        integers.  Horner's rule then runs on integer numerators, over the
+        denominator D W^m after m steps, and each output coefficient is
+        built as a `Fraction` once.  Float coefficients keep the loop on
+        scalars and its operation order.
+        """
         if self.basis != MONOMIAL:
             raise ValueError("compose_affine only defined in the monomial basis")
+        if all(isinstance(c, (int, Fraction)) for c in (u, v, *self.coeffs)):
+            return self._compose_affine_rational(u, v)
         out = []
         for c in reversed(self.coeffs):
             step = [0] * (len(out) + 1)
@@ -336,6 +353,23 @@ class LatticePoly:
                 step.pop()
             out = step
         return LatticePoly(MONOMIAL, out)
+
+    def _compose_affine_rational(self, u, v) -> "LatticePoly":
+        if not self.coeffs:
+            return self
+        w = math.lcm(u.denominator, v.denominator)
+        big_u, big_v = u.numerator * (w // u.denominator), v.numerator * (w // v.denominator)
+        denominator = math.lcm(*(c.denominator for c in self.coeffs))
+        out = []
+        for c in reversed(self.coeffs):
+            step = [a * big_v for a in out] + [0]
+            for k, a in enumerate(out):
+                step[k + 1] += a * big_u
+            step[0] += c.numerator * (denominator // c.denominator)
+            out = step
+            denominator *= w
+        denominator //= w  # the last coefficient takes no step of Horner's rule
+        return LatticePoly(MONOMIAL, [Fraction(a, denominator) for a in out])
 
     def evaluate(self, x: Scalar) -> Scalar:
         if self.basis != MONOMIAL:
@@ -353,23 +387,6 @@ class LatticePoly:
 def x_of(s: int, ctx: QContext) -> Scalar:
     """Lattice value x(s) = (q^s - 1)/(q - 1); any integer s."""
     return memo_scope(ctx.q, ctx.exact).x(s)
-
-
-def q_factorial(k: int, ctx: QContext) -> Scalar:
-    if k < 0:
-        raise ValueError("q-factorial needs a nonnegative argument")
-    out = ctx.one()
-    for j in range(1, k + 1):
-        out *= x_of(j, ctx)
-    return out
-
-
-def q_falling_number(n: int, k: int, ctx: QContext) -> Scalar:
-    """[n]^(k) = x(n) x(n-1) ... x(n-k+1); vanishes for integer 0 <= n < k."""
-    out = ctx.one()
-    for j in range(k):
-        out *= x_of(n - j, ctx)
-    return out
 
 
 def binom2(n: int) -> int:
@@ -426,22 +443,23 @@ class MemoScope:
     """Memo tables shared by every context at one q and scalar backend.
 
     What depends on q alone: the powers q^m, the lattice values x(j), the
-    falling-factorial polynomials [s]^(k) and the falling products
-    [s]^(j)[s]^(k).  What depends on (alpha, q): the moment powers
-    (alpha q)^m, the Gram table of unit pairings Lambda([s]^(j)[s]^(k))
-    (`pairing`) and the degenerate orders that
+    falling-factorial polynomials [s]^(k) and, on float scopes only, the
+    falling products [s]^(j)[s]^(k).  What depends on (alpha, q): the
+    moment powers (alpha q)^m, the Gram table of unit pairings
+    Lambda([s]^(j)[s]^(k)) (`pairing`) and the degenerate orders that
     `QContext.require_nondegenerate` decides (`degenerate_order`).  Each
     table is read through its method.  `memos` holds the tables of the
     functions wrapped by `scoped_memo`: the recurrence route's polynomials,
     keyed by (context, multi-index), and the oracle's solutions and LU
     factors, keyed by `active_key`.
-    Every entry is computed by the operations the uncached code would run,
-    in the same order, so cached values equal uncached ones bit for bit,
-    floats included.
+    Cached values equal uncached ones: exact entries as rationals, and
+    float entries bit for bit, since they are computed by the operations
+    the uncached code would run, in the same order.
     """
 
     def __init__(self, q: Scalar, exact: bool):
         self.q = q
+        self.exact = exact
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
         self._qpow = {}
@@ -476,7 +494,7 @@ class MemoScope:
 
     def falling_product(self, j: int, k: int) -> LatticePoly:
         """[s]^(j) [s]^(k) in the falling basis, as `falling_mul_falling`
-        expands the unit polynomial [s]^(j)."""
+        expands the unit polynomial [s]^(j); float Gram entries contract it."""
         if j not in self._products:
             self._products[j] = [LatticePoly.falling((self.zero,) * j + (self.one,))]
         row = self._products[j]
@@ -503,13 +521,33 @@ class MemoScope:
         return total
 
     def pairing(self, alpha: Scalar, j: int, k: int) -> Scalar:
-        """Lambda([s]^(j) [s]^(k)) at weight parameter alpha: the falling
-        product contracted with the moments.  Kept once per (alpha, j, k)
-        (the Gram table), so every context at this q with this alpha shares
-        it."""
+        """Lambda([s]^(j) [s]^(k)) at weight parameter alpha.  Kept once per
+        (alpha, j, k) (the Gram table), so every context at this q with this
+        alpha shares it.
+
+        Exact entries follow the product rule of the falling basis:
+        [s]^(k+1) = [s]^(k) (X - x(k))/q^k and
+        X [s]^(j) = q^j [s]^(j+1) + x(j) [s]^(j) give
+
+            G(j, k+1) = q^(-k) (q^j G(j+1, k) + (x(j) - x(k)) G(j, k)),
+
+        from G(j, 0) = (alpha q)^j, which is Lambda [s]^(j) itself: O(1)
+        per entry.  Float entries contract the expanded falling product with
+        the moments, an operation order that the recorded
+        `gen --q ... --method system` output pins bit for bit.
+        """
         key = (alpha, j, k)
         if key not in self._pairings:
-            self._pairings[key] = self.contract(self.falling_product(j, k), alpha)
+            if not self.exact:
+                value = self.contract(self.falling_product(j, k), alpha)
+            elif k == 0:
+                value = self.moments(alpha, j + 1)[j]
+            else:
+                value = self.qpow(1 - k) * (
+                    self.qpow(j) * self.pairing(alpha, j + 1, k - 1)
+                    + (self.x(j) - self.x(k - 1)) * self.pairing(alpha, j, k - 1)
+                )
+            self._pairings[key] = value
         return self._pairings[key]
 
     def degenerate_order(self, alpha: Scalar) -> Optional[int]:

@@ -6,8 +6,11 @@ streamed weights and their truncated sums, the product-form coefficients
 (exact only where at most one component of the multi-index is positive),
 the single-family form of the difference equation, the classical
 difference identity, and a dense Gauss-Jordan solve of the orthogonality
-system.  None of them is reached by a command, so they live here rather
-than in the package.
+system.  Three are the slower second paths to what a package kernel
+computes more cheaply: the Gram entry by the expanded falling product,
+Horner's rule on scalars, and the explicit double sum term by term.  None
+of them is reached by a command, so they live here rather than in the
+package.
 """
 
 import functools
@@ -19,6 +22,7 @@ from qcharlier.constructors import ConstructionError, build_linear_system, momen
 from qcharlier.latticefn import WeightedLatticeFn, delta_cov, raising_apply, shift_poly
 from qcharlier.qkernels import (
     FALLING,
+    MONOMIAL,
     LatticePoly,
     MultiIndex,
     ValidationError,
@@ -26,8 +30,6 @@ from qcharlier.qkernels import (
     falling_factorial_poly,
     falling_mul_falling,
     from_falling_basis,
-    q_factorial,
-    q_falling_number,
     to_falling_basis,
     x_of,
 )
@@ -46,6 +48,24 @@ def _oracle(index, ctx):
 # ---------------------------------------------------------------------------
 # q-numbers, moments and weights
 # ---------------------------------------------------------------------------
+
+def q_factorial(k, ctx):
+    """[k]_q! = x(1) x(2) ... x(k)."""
+    if k < 0:
+        raise ValueError("q-factorial needs a nonnegative argument")
+    out = ctx.one()
+    for j in range(1, k + 1):
+        out *= x_of(j, ctx)
+    return out
+
+
+def q_falling_number(n, k, ctx):
+    """[n]^(k) = x(n) x(n-1) ... x(n-k+1); vanishes for integer 0 <= n < k."""
+    out = ctx.one()
+    for j in range(k):
+        out *= x_of(n - j, ctx)
+    return out
+
 
 def q_binomial(m, k, ctx):
     """Gaussian binomial coefficient, equal to [m]^(k)/[k]!."""
@@ -102,6 +122,42 @@ def weight_partial_sums(i, m, ctx):
             break
         term = next_term
     return total_m, total_0
+
+
+# ---------------------------------------------------------------------------
+# scalar Horner, and the explicit double sum term by term
+# ---------------------------------------------------------------------------
+
+def compose_affine_horner(p, u, v):
+    """P(uX + v) by Horner's rule on the scalars themselves, trimming each
+    step: the loop `LatticePoly.compose_affine` keeps for floats."""
+    out = []
+    for c in reversed(p.coeffs):
+        step = [0] * (len(out) + 1)
+        for k, a in enumerate(out):
+            step[k] += a * v
+            step[k + 1] += a * u
+        step[0] += c
+        while step and step[-1] == 0:
+            step.pop()
+        out = step
+    return LatticePoly(MONOMIAL, out)
+
+
+def explicit_r2_double_sum(n1, n2, ctx):
+    """The polynomial C_(n1, n2) by the double sum of `build_explicit_r2`,
+    each term recomputed from q-falling numbers and q-factorials."""
+    a1, a2 = ctx.alphas
+    prefactor = (-a1) ** n1 * (-a2) ** n2 * ctx.q ** (n1 * n1 + n1 * n2 + n2 * n2)
+    fall = [ctx.zero()] * (n1 + n2 + 1)
+    for k in range(n1 + 1):
+        for l in range(n2 + 1):
+            term = q_falling_number(n1, k, ctx) * q_falling_number(n2, l, ctx)
+            term /= q_factorial(k, ctx) * q_factorial(l, ctx)
+            term *= ctx.q ** (binom2(k) + binom2(l))
+            term *= (-1) ** (k + l) * (ctx.q ** n1 * a1) ** (-k) * (ctx.q ** n2 * a2) ** (-l)
+            fall[k + l] += term
+    return from_falling_basis(LatticePoly.falling(fall), ctx).scale(prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +323,10 @@ def expanded_pairing(fall, k, i, ctx):
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing(ctx, i, j, k):
-    """Lambda_i([s]^(j) [s]^(k))."""
+def gram_by_expansion(ctx, i, j, k):
+    """Lambda_i([s]^(j) [s]^(k)), the unit polynomial [s]^(j) multiplied out
+    by the factors of [s]^(k) and contracted with the moments; the
+    reference for the three-term recurrence of the exact Gram table."""
     return expanded_pairing(LatticePoly.falling((Fraction(0),) * j + (Fraction(1),)), k, i, ctx)
 
 
@@ -285,7 +343,8 @@ def dense_oracle(index, ctx):
     lead = ctx.q ** binom2(n)
     conditions = [(i, k) for i, ni in enumerate(index) for k in range(ni)]
     aug = [
-        [_pairing(ctx, i, j, k) for j in range(n)] + [-lead * _pairing(ctx, i, n, k)]
+        [gram_by_expansion(ctx, i, j, k) for j in range(n)]
+        + [-lead * gram_by_expansion(ctx, i, n, k)]
         for i, k in conditions
     ]
     for col in range(n):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expanded_pairing, normalized_moment, weight_masses, weight_partial_sums
+from oracles import (
+    expanded_pairing,
+    explicit_r2_double_sum,
+    normalized_moment,
+    q_falling_number,
+    weight_masses,
+    weight_partial_sums,
+)
 from qcharlier import (
     QContext,
     build,
@@ -17,7 +24,7 @@ from qcharlier import (
     build_rodrigues,
     rodrigues_constant,
 )
-from qcharlier.cli import _exact_shadow
+from qcharlier.cli import _exact_shadow, main
 from qcharlier.constructors import moment_pairing
 from qcharlier.qkernels import (
     FALLING,
@@ -25,7 +32,6 @@ from qcharlier.qkernels import (
     LatticePoly,
     falling_mul_falling,
     memo_scope,
-    q_falling_number,
     to_falling_basis,
     x_of,
 )
@@ -158,6 +164,26 @@ def test_moment_pairing_by_series(ctx2):
                 wsum += w
             pairing = float(moment_pairing(poly, k, i, ctx2))
             assert abs(series / wsum - pairing) < 1e-9
+
+
+@pytest.mark.parametrize("t", ["9/10", "4/3"])
+@pytest.mark.parametrize("parts", [(7, 5), (0, 6), (6, 0)])
+def test_explicit_convolution_matches_double_sum(t, parts):
+    ctx = QContext.from_t(t, ["1/2", "3/5"])
+    poly = build_explicit_r2(*parts, ctx).poly
+    assert poly == explicit_r2_double_sum(*parts, ctx)
+    assert poly == build_linear_system(parts, ctx).poly
+
+
+def test_cold_exact_system_build_expands_no_falling_product(clear_caches, capsys):
+    # exact Gram entries come from their recurrence: a cold (10,10) oracle
+    # build fills the Gram table and multiplies out no falling product
+    clear_caches()
+    assert main(["gen", "--method", "system", "--n", "10,10"]) == 0
+    capsys.readouterr()
+    scope = memo_scope(Fraction(81, 100), True)
+    assert scope._pairings
+    assert scope._products == {}
 
 
 def test_float_backend_construction():

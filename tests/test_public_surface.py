@@ -42,6 +42,8 @@ PUBLIC = [
 
 #: defined in tests/oracles.py only, or folded into their one caller
 TEST_SIDE = [
+    "q_factorial",
+    "q_falling_number",
     "q_binomial",
     "q_number",
     "weight_masses",

@@ -9,8 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import q_binomial, weight_masses, weight_partial_sums
-from qcharlier import LatticePoly, MultiIndex, QContext, ValidationError, build_linear_system
+from oracles import (
+    compose_affine_horner,
+    gram_by_expansion,
+    q_binomial,
+    q_factorial,
+    weight_masses,
+    weight_partial_sums,
+)
+from qcharlier import (
+    LatticePoly,
+    MultiIndex,
+    QContext,
+    ValidationError,
+    build,
+    build_linear_system,
+)
 from qcharlier import qkernels
 from qcharlier.latticefn import shift_poly
 from qcharlier.qkernels import (
@@ -21,7 +35,6 @@ from qcharlier.qkernels import (
     falling_mul_falling,
     from_falling_basis,
     memo_scope,
-    q_factorial,
     to_falling_basis,
     x_of,
 )
@@ -117,6 +130,15 @@ def test_multi_index_operations():
         n.down(1)
     with pytest.raises(ValueError):
         MultiIndex((1, -1))
+
+
+@pytest.mark.parametrize("parts, bad", [((1.5, 2), "1.5"), ((1.9, 0), "1.9"), ((2.0, 1), "2.0")])
+def test_multi_index_refuses_non_integral_parts(ctx2, parts, bad):
+    # truncating 1.9 would silently build C_(1,0)
+    with pytest.raises(ValueError, match=f"part {bad} is not an integer"):
+        MultiIndex(parts)
+    with pytest.raises(ValueError, match=f"part {bad} is not an integer"):
+        build(parts, ctx2)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +254,65 @@ def test_falling_mul_x_rewrite(ctx2, q2):
         shifted = falling_mul_falling(unit, 1, ctx2)
         expected = from_falling_basis(unit, ctx2).times_x()
         assert from_falling_basis(shifted, ctx2) == expected
+
+
+GRAM_CONTEXTS = [
+    ("9/10", ["1/2", "3/5", "7/10"]),
+    ("1/2", ["1/2", "3/5", "7/3"]),
+    ("4/3", ["1/3", "5/2", "9/7"]),
+    ("7/5", ["2", "3/4", "5/9"]),
+]
+
+
+@pytest.mark.parametrize("t, alphas", GRAM_CONTEXTS)
+def test_exact_gram_recurrence_matches_expanded_product(clear_caches, t, alphas):
+    # the three-term recurrence against the falling product multiplied out
+    # and contracted with the moments, on a cold scope
+    clear_caches()
+    ctx = QContext.from_t(t, alphas)
+    scope = memo_scope(ctx.q, ctx.exact)
+    for i, alpha in enumerate(ctx.alphas):
+        for j, k in itertools.product(range(13), repeat=2):
+            assert scope.pairing(alpha, j, k) == gram_by_expansion(ctx, i, j, k), (i, j, k)
+    assert scope._products == {}
+
+
+RATIONALS = st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(RATIONALS, max_size=9), RATIONALS, RATIONALS)
+def test_rational_compose_affine_matches_scalar_horner(coeffs, u, v):
+    poly = LatticePoly.monomial(coeffs)
+    assert poly.compose_affine(u, v) == compose_affine_horner(poly, u, v)
+
+
+def test_rational_compose_affine_edge_cases(q2):
+    zero, const = LatticePoly.zero(), LatticePoly.monomial((Fraction(-5, 7),))
+    cases = [
+        (zero, 1 / q2, -1 / q2),
+        (const, 1 / q2, -1 / q2),
+        (
+            LatticePoly.monomial((0, Fraction(1, 3), Fraction(-2, 9))),
+            Fraction(2, 5),
+            Fraction(7, 4),
+        ),
+        (LatticePoly.monomial((Fraction(1, 6), 0, 0, Fraction(5, 8))), 0, Fraction(-3, 11)),
+        (LatticePoly.monomial((2, -1, 3)), 1, -1),
+    ]
+    for poly, u, v in cases:
+        assert poly.compose_affine(u, v) == compose_affine_horner(poly, u, v)
+    assert zero.compose_affine(Fraction(3, 4), 1).is_zero
+    assert const.compose_affine(Fraction(3, 4), 1) == const
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-10, 10), max_size=9), st.sampled_from([0.74, 0.81, 1.3]))
+def test_float_compose_affine_keeps_its_operation_order(coeffs, q):
+    poly = LatticePoly.monomial(coeffs)
+    composed = poly.compose_affine(1 / q, -1 / q)
+    assert composed.coeffs == compose_affine_horner(poly, 1 / q, -1 / q).coeffs
+    assert all(isinstance(c, float) for c in composed.coeffs)
 
 
 def test_one_memo_scope_alive(clear_caches):
