@@ -2,8 +2,8 @@
 
 JSON goes to standard output (stable key order, canonical scalar strings);
 a human-readable summary goes to standard error unless --quiet.  Exit codes:
-0 all checks passed, 1 a verification failed, 2 invalid arguments or
-parameter validation failure.
+0 all checks passed, 1 a verification failed, 2 invalid arguments,
+parameter validation failure or float overflow.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        # a float build whose values leave the range of doubles
+        print(f"error: float overflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
@@ -157,6 +161,9 @@ def cmd_gen(args) -> int:
     index = _parse_index(args.n)
     ctx = _make_context(args, _alphas(args, len(index), f"multi-index {args.n}"))
     poly = build(index, ctx, method=METHOD_NAMES[args.method]).poly
+    if not ctx.exact and not all(map(math.isfinite, poly.coeffs)):
+        # float products overflow to inf without raising
+        raise OverflowError(f"a coefficient of C_{index.parts} is not finite at q = {ctx.q}")
     if args.basis == "falling":
         poly = to_falling_basis(poly, ctx)
     _emit({

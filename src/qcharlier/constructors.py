@@ -17,22 +17,23 @@ orthogonality conditions can see.
 Construction routes:
 
 * `build_linear_system` - ground truth; encodes only the definition above.
-  On exact contexts it solves with LU factors that `_factors` borders from
-  index to index along the lattice (the same system, factored
-  incrementally); on float contexts with pivoted elimination.  Solutions
+  It solves with LU factors that `_factors` borders from index to index
+  along the lattice (the same system, factored incrementally).  Solutions
   and factors are kept once per distinct system (`active_key`), and the
-  falling solution is kept beside the monomial polynomial.  Its rows, and
-  on exact contexts its right-hand sides, are read from the Gram table of
-  the memo scope (`MemoScope.pairing`).
+  falling solution is kept beside the monomial polynomial.  Its rows and
+  right-hand sides are read from the Gram table of the memo scope
+  (`MemoScope.pairing`).
 * `build_rodrigues` - weight-conjugated iterated differences with the
   closed-form normalizing constant.
 * `build_explicit_r2` - finite double sum in the falling basis (r = 2),
   a convolution of two one-index sequences.
-* `build_recurrence` - iterates the nearest-neighbor relation from C_0 = 1;
-  on exact contexts in the falling basis, where multiplying by X is an
-  exact rewrite and each pairing reads the Gram table without a basis
-  change, converting only the result to monomials.
+* `build_recurrence` - iterates the nearest-neighbor relation from C_0 = 1
+  in the falling basis, where multiplying by X is an exact rewrite and each
+  pairing reads the Gram table without a basis change, converting only the
+  result to monomials.
 
+Float contexts run the same algorithms as exact ones, in floats: the same
+Gram recurrence, the same bordered LU and the same falling basis.
 All four agree coefficient-for-coefficient on exact contexts.
 """
 
@@ -76,24 +77,17 @@ class ConstructionError(RuntimeError):
 
 
 def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
-    """Lambda_i( p * [s]^(k) ) for p in either basis.
-
-    On exact contexts this is sum_j c_j Lambda_i([s]^(j) [s]^(k)) over the
-    falling coefficients c_j of p, each unit pairing read from the Gram
-    table of the memo scope (`MemoScope.pairing`).  On float contexts the
-    product is expanded by the factors of [s]^(k) and contracted with the
-    normalized moments (alpha_i q)^m (`MemoScope.contract`), an operation
-    order that the recorded `gen --q` output pins bit for bit.
+    """Lambda_i( p * [s]^(k) ) for p in either basis: the sum of
+    c_j Lambda_i([s]^(j) [s]^(k)) over the falling coefficients c_j of p,
+    each unit pairing read from the Gram table of the memo scope
+    (`MemoScope.pairing`).
     """
     scope = memo_scope(ctx.q, ctx.exact)
-    fall = to_falling_basis(p, ctx)
     alpha = ctx.alphas[i]
-    if ctx.exact:
-        total = scope.zero
-        for j, c in enumerate(fall.coeffs):
-            total += c * scope.pairing(alpha, j, k)
-        return total
-    return scope.contract(falling_mul_falling(fall, k, ctx), alpha)
+    total = scope.zero
+    for j, c in enumerate(to_falling_basis(p, ctx).coeffs):
+        total += c * scope.pairing(alpha, j, k)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +113,8 @@ def _linear_system_poly(ctx: QContext, index: MultiIndex) -> dict:
         return {FALLING: LatticePoly.one(FALLING), MONOMIAL: LatticePoly.one()}
     scope = memo_scope(ctx.q, ctx.exact)
     lead = ctx.q ** binom2(n)
-    if ctx.exact:
-        rhs = [-lead * scope.pairing(ctx.alphas[i], n, k) for i, k in _rows(index)]
-        solution = _lu_solve(_factors(ctx, index), rhs)
-    else:
-        # floats keep the pivoted elimination and its operation order, which
-        # the recorded `gen --q ... --method system` output pins bit for bit
-        top = LatticePoly.falling((ctx.zero(),) * n + (lead,))
-        rows = [
-            [scope.pairing(ctx.alphas[i], j, k) for j in range(n)]
-            for i, k in _rows(index)
-        ]
-        rhs = [-moment_pairing(top, k, i, ctx) for i, k in _rows(index)]
-        solution = _solve(rows, rhs)
+    rhs = [-lead * scope.pairing(ctx.alphas[i], n, k) for i, k in _rows(index)]
+    solution = _lu_solve(_factors(ctx, index), rhs)
     fall = LatticePoly.falling(tuple(solution) + (lead,))
     poly = from_falling_basis(fall, ctx)
     if ctx.exact and (poly.degree != n or poly.leading != 1):
@@ -146,7 +129,7 @@ def _rows(index: MultiIndex):
 
 @scoped_memo(key=active_key)
 def _factors(ctx: QContext, index: MultiIndex):
-    """LU factors, without pivoting, of the exact oracle matrix of a nonzero
+    """LU factors, without pivoting, of the oracle matrix of a nonzero
     `index` (rows `_rows(index)`, columns j < |n|, entries
     Lambda_i([s]^(j)[s]^(k))).
 
@@ -212,24 +195,6 @@ def _lu_solve(factors, b):
         for l in range(m):
             z[l] -= col[l] * x[m]
     return x
-
-
-def _solve(rows, rhs):
-    """Dense Gaussian elimination on floats, with partial pivoting by
-    magnitude; the exact oracle solves through `_factors` instead.  Raises
-    on a singular system."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[pivot][col] == 0:
-            raise ConstructionError("singular orthogonality system (degenerate parameters)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col] / aug[col][col]
-                aug[r] = [aug[r][c] - factor * aug[col][c] for c in range(n + 1)]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +312,9 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
 
 @scoped_memo()
 def _recurrence_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
-    """C_index by the recurrence, in the falling basis on exact contexts and
-    in the monomial basis on float ones."""
+    """C_index by the recurrence, in the falling basis."""
     if index.weight == 0:
-        return LatticePoly.one(FALLING if ctx.exact else MONOMIAL)
+        return LatticePoly.one(FALLING)
     k = next(i for i, ni in enumerate(index) if ni > 0)
     prev = index.down(k)
     return _recurrence_step(ctx, prev, k, _recurrence_poly(ctx, prev))
@@ -367,12 +331,8 @@ def _recurrence_step(ctx: QContext, prev: MultiIndex, k: int, prev_poly: Lattice
         return _recurrence_poly(c, m)
 
     coeffs = nn_recurrence_coeffs(prev, k, ctx, builder=recurrence_builder)
-    if ctx.exact:
-        # X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m), the first factor of [s]^(1)
-        times_x = falling_mul_falling(prev_poly, 1, ctx)
-    else:
-        times_x = prev_poly.times_x()
-    out = times_x - prev_poly.scale(coeffs.b)
+    # X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m), the first factor of [s]^(1)
+    out = falling_mul_falling(prev_poly, 1, ctx) - prev_poly.scale(coeffs.b)
     for i, di in enumerate(coeffs.d):
         if di != 0:
             out = out - _recurrence_poly(ctx, prev.down(i)).scale(di)

@@ -94,10 +94,14 @@ class QContext:
     @classmethod
     def from_q_float(cls, q: float, alphas: Iterable[float]) -> "QContext":
         """Approximate context from q directly (t = sqrt(q) numerically)."""
-        q = float(q)
+        q, alphas = float(q), tuple(float(a) for a in alphas)
+        names = ["q"] + [f"alpha_{i + 1}" for i in range(len(alphas))]
+        for name, value in zip(names, (q, *alphas)):
+            if not math.isfinite(value):
+                raise ValidationError("finiteness", f"{name} must be finite, got {value}")
         if q <= 0:
             raise ValidationError("positivity", f"q must be positive, got {q}")
-        ctx = cls(t=math.sqrt(q), q=q, alphas=tuple(float(a) for a in alphas), exact=False)
+        ctx = cls(t=math.sqrt(q), q=q, alphas=alphas, exact=False)
         ctx.validate()
         return ctx
 
@@ -427,8 +431,7 @@ def falling_mul_falling(p: LatticePoly, k: int, ctx: QContext) -> LatticePoly:
     """Product of a falling-basis polynomial with [s]^(k), staying in basis.
 
     Multiplies by the factors (X - x(j))/q^j of [s]^(k) one at a time, which
-    keeps the expansion quadratic in the degree; the memo scope of q builds
-    its table of products [s]^(j)[s]^(k) with the same factor step.
+    keeps the expansion quadratic in the degree.
     """
     if p.basis != FALLING:
         raise ValueError("falling_mul_falling expects the falling basis")
@@ -442,30 +445,27 @@ def falling_mul_falling(p: LatticePoly, k: int, ctx: QContext) -> LatticePoly:
 class MemoScope:
     """Memo tables shared by every context at one q and scalar backend.
 
-    What depends on q alone: the powers q^m, the lattice values x(j), the
-    falling-factorial polynomials [s]^(k) and, on float scopes only, the
-    falling products [s]^(j)[s]^(k).  What depends on (alpha, q): the
-    moment powers (alpha q)^m, the Gram table of unit pairings
+    What depends on q alone: the powers q^m, the lattice values x(j) and
+    the falling-factorial polynomials [s]^(k).  What depends on (alpha, q):
+    the moment powers (alpha q)^m, the Gram table of unit pairings
     Lambda([s]^(j)[s]^(k)) (`pairing`) and the degenerate orders that
     `QContext.require_nondegenerate` decides (`degenerate_order`).  Each
     table is read through its method.  `memos` holds the tables of the
     functions wrapped by `scoped_memo`: the recurrence route's polynomials,
     keyed by (context, multi-index), and the oracle's solutions and LU
     factors, keyed by `active_key`.
-    Cached values equal uncached ones: exact entries as rationals, and
-    float entries bit for bit, since they are computed by the operations
-    the uncached code would run, in the same order.
+    Exact and float scopes fill their tables by the same operations, so
+    they differ only in the scalar type; cached values are the ones the
+    uncached code would compute.
     """
 
     def __init__(self, q: Scalar, exact: bool):
         self.q = q
-        self.exact = exact
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
         self._qpow = {}
         self._x = {}
         self._falling = [LatticePoly.one()]
-        self._products = {}
         self._moments = {}
         self._pairings = {}
         self._degenerate_orders = {}
@@ -492,16 +492,6 @@ class MemoScope:
             table.append((table[j] * shifted).scale(self.qpow(-j)))
         return table[k]
 
-    def falling_product(self, j: int, k: int) -> LatticePoly:
-        """[s]^(j) [s]^(k) in the falling basis, as `falling_mul_falling`
-        expands the unit polynomial [s]^(j); float Gram entries contract it."""
-        if j not in self._products:
-            self._products[j] = [LatticePoly.falling((self.zero,) * j + (self.one,))]
-        row = self._products[j]
-        while len(row) <= k:
-            row.append(_falling_factor(row[-1], len(row) - 1, self))
-        return row[k]
-
     def moments(self, alpha: Scalar, count: int) -> list:
         """The normalized moments (alpha q)^m by repeated multiplication,
         at least `count` of them."""
@@ -512,35 +502,23 @@ class MemoScope:
             powers.append(powers[-1] * (alpha * self.q))
         return powers
 
-    def contract(self, fall: LatticePoly, alpha: Scalar) -> Scalar:
-        """A falling-basis polynomial contracted with the moments (alpha q)^m:
-        its pairing with 1 under the functional of alpha."""
-        total = self.zero
-        for c, nu in zip(fall.coeffs, self.moments(alpha, len(fall.coeffs))):
-            total += c * nu
-        return total
-
     def pairing(self, alpha: Scalar, j: int, k: int) -> Scalar:
         """Lambda([s]^(j) [s]^(k)) at weight parameter alpha.  Kept once per
         (alpha, j, k) (the Gram table), so every context at this q with this
         alpha shares it.
 
-        Exact entries follow the product rule of the falling basis:
+        Entries follow the product rule of the falling basis:
         [s]^(k+1) = [s]^(k) (X - x(k))/q^k and
         X [s]^(j) = q^j [s]^(j+1) + x(j) [s]^(j) give
 
             G(j, k+1) = q^(-k) (q^j G(j+1, k) + (x(j) - x(k)) G(j, k)),
 
         from G(j, 0) = (alpha q)^j, which is Lambda [s]^(j) itself: O(1)
-        per entry.  Float entries contract the expanded falling product with
-        the moments, an operation order that the recorded
-        `gen --q ... --method system` output pins bit for bit.
+        per entry, on exact and float scopes alike.
         """
         key = (alpha, j, k)
         if key not in self._pairings:
-            if not self.exact:
-                value = self.contract(self.falling_product(j, k), alpha)
-            elif k == 0:
+            if k == 0:
                 value = self.moments(alpha, j + 1)[j]
             else:
                 value = self.qpow(1 - k) * (

@@ -36,7 +36,6 @@ from .constructors import build_linear_system, moment_pairing
 from .latticefn import delta_cov, raising_apply
 from .qkernels import (
     FALLING,
-    MONOMIAL,
     LatticePoly,
     MultiIndex,
     QContext,
@@ -52,10 +51,8 @@ Builder = Callable[[MultiIndex, QContext], LatticePoly]
 
 
 def _oracle(index: MultiIndex, ctx: QContext) -> LatticePoly:
-    # exact: the oracle's solution, already in the falling basis; floats:
-    # its monomial result, whose conversion the recorded `limit` output pins
-    # bit for bit
-    return build_linear_system(index, ctx, FALLING if ctx.exact else MONOMIAL).poly
+    # the oracle's solution, already in the falling basis
+    return build_linear_system(index, ctx, FALLING).poly
 
 
 def _falling(builder: Optional[Builder]) -> Builder:

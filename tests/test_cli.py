@@ -94,6 +94,27 @@ def test_verify_degenerate_shift_exits_with_guard(capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "--q", "inf"), "finiteness: q must be finite, got inf"),
+        (("gen", "--q", "nan"), "finiteness: q must be finite, got nan"),
+        (("gen", "--q", "1e308"), "float overflow"),
+        (("gen", "--q", "1e-320"), "float overflow"),
+        (("gen", "--q", "1e40"), "float overflow: a coefficient of C_(2, 1) is not finite"),
+        (("zeros", "--q", "inf"), "finiteness: q must be finite, got inf"),
+    ],
+    ids=["gen-inf", "gen-nan", "gen-1e308", "gen-1e-320", "gen-1e40", "zeros-inf"],
+)
+def test_float_q_out_of_range_exits_with_one_error_line(capsys, argv, message):
+    # no NaN coefficients, no traceback, and not the exit code of a failed check
+    code, out, err = run_cli(capsys, *argv, "--n", "2,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_gen_float_backend(capsys):
     code, out, _ = run_cli(capsys, "gen", "--q", "0.81", "--alpha", "0.5", "--n", "1")
     assert code == 0

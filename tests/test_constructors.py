@@ -24,13 +24,12 @@ from qcharlier import (
     build_rodrigues,
     rodrigues_constant,
 )
-from qcharlier.cli import _exact_shadow, main
+from qcharlier.cli import _exact_shadow
 from qcharlier.constructors import moment_pairing
 from qcharlier.qkernels import (
     FALLING,
     MONOMIAL,
     LatticePoly,
-    falling_mul_falling,
     memo_scope,
     to_falling_basis,
     x_of,
@@ -175,17 +174,6 @@ def test_explicit_convolution_matches_double_sum(t, parts):
     assert poly == build_linear_system(parts, ctx).poly
 
 
-def test_cold_exact_system_build_expands_no_falling_product(clear_caches, capsys):
-    # exact Gram entries come from their recurrence: a cold (10,10) oracle
-    # build fills the Gram table and multiplies out no falling product
-    clear_caches()
-    assert main(["gen", "--method", "system", "--n", "10,10"]) == 0
-    capsys.readouterr()
-    scope = memo_scope(Fraction(81, 100), True)
-    assert scope._pairings
-    assert scope._products == {}
-
-
 def test_float_backend_construction():
     ctx = QContext.from_q_float(0.81, [0.5, 0.6])
     exact = QContext.from_t("9/10", ["1/2", "3/5"])
@@ -219,19 +207,24 @@ def test_exact_moment_pairing_equals_factor_step_expansion(t, coeffs, case):
     assert moment_pairing(p, k, i, ctx) == expected
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from([0.74, 0.81, 1.3]),
-    st.lists(st.floats(-10, 10), min_size=1, max_size=13),
-    PAIRING_CASE,
-)
-def test_float_moment_pairing_keeps_its_operation_order(q, coeffs, case):
-    basis, k, i = case
-    ctx = QContext.from_q_float(q, [0.35, 0.55])
-    p = LatticePoly(basis, coeffs)
-    fall = falling_mul_falling(to_falling_basis(p, ctx), k, ctx)
-    expected = memo_scope(ctx.q, ctx.exact).contract(fall, ctx.alphas[i])
-    assert moment_pairing(p, k, i, ctx) == expected
+def test_float_and_exact_oracle_run_the_same_algorithm(clear_caches):
+    # a float context and its exact shadow fill the same Gram entries and
+    # the same bordered factors: Fraction(0.6) == 0.6 with the same hash,
+    # so the keys compare across backends
+    ctx = QContext.from_q_float(0.81, [0.5, 0.6])
+    clear_caches()
+    build_linear_system((3, 2), ctx)
+    scope = memo_scope(ctx.q, ctx.exact)
+    float_gram = dict(scope._pairings)
+    float_factors = set(scope.memos["_factors"])
+    shadow = _exact_shadow(ctx)
+    build_linear_system((3, 2), shadow)
+    scope = memo_scope(shadow.q, shadow.exact)
+    assert set(float_gram) == set(scope._pairings)
+    assert float_factors == set(scope.memos["_factors"])
+    for key, value in float_gram.items():
+        exact = scope._pairings[key]
+        assert abs(value - exact) <= 1e-12 * abs(exact), key
 
 
 @settings(max_examples=20, deadline=None)

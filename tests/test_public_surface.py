@@ -6,11 +6,13 @@ defining them in the package again would ship a duplicate path."""
 import importlib
 import inspect
 import pkgutil
+from fractions import Fraction
 
 import qcharlier
 from qcharlier import QContext, build, constructors
 from qcharlier.constructors import QCharlierPoly
 from qcharlier.latticefn import WeightedLatticeFn
+from qcharlier.qkernels import MemoScope
 
 PUBLIC = [
     "FALLING",
@@ -84,8 +86,12 @@ def test_test_references_are_not_in_the_package():
 def test_memo_tables_have_one_owner():
     # the Gram table and the degenerate orders are read through `MemoScope`
     # methods, and the oracle's factors through `scoped_memo`; no route
-    # keeps a memo of its own
-    for name in ("_unit_pairing", "_contract", "_rodrigues_poly"):
+    # keeps a memo of its own, and float contexts keep no second copy of a
+    # table or of the solve
+    for name in ("_unit_pairing", "_contract", "_rodrigues_poly", "_solve"):
         assert not hasattr(constructors, name)
+    for name in ("falling_product", "contract"):
+        assert not hasattr(MemoScope, name)
+    assert not hasattr(MemoScope(Fraction(1, 2), True), "_products")
     assert not hasattr(QContext, "_degenerate_order")
     assert "path" not in inspect.signature(build).parameters
