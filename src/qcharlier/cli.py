@@ -181,18 +181,23 @@ def cmd_gen(args) -> int:
 
 def _defect_builder(spec: str):
     """Builder that perturbs one coefficient of one polynomial, selected as
-    "n1,n2,..:coeff_index[:amount]" (amount defaults to 1/10^6).  The target
-    index is corrupted wherever it is built, in every parameter context a
-    verifier touches; a negative control proving the checks are not vacuous."""
+    "n1,n2,..:coeff_index[:amount]" (amount nonzero, default 1/10^6).  The
+    target index is corrupted wherever it is built, in every parameter
+    context a verifier touches; a negative control proving the checks are
+    not vacuous.  `built_target` records whether it was ever built: a run
+    that never built it corrupted nothing, and verify refuses it."""
     loc, _, rest = spec.partition(":")
     target = tuple(int(p) for p in loc.split(","))
     coeff_str, _, amount_str = rest.partition(":")
     coeff_index = int(coeff_str)
     amount = parse_scalar(amount_str) if amount_str else Fraction(1, 10 ** 6)
+    if amount == 0:
+        raise ValueError(f"--inject-defect {spec}: an amount of 0 corrupts nothing")
 
     def builder(index, context):
         poly = build_linear_system(index, context).poly
         if index.parts == target:
+            builder.built_target = True
             bumped = list(poly.coeffs)
             while len(bumped) <= coeff_index:
                 bumped.append(context.zero())
@@ -200,6 +205,7 @@ def _defect_builder(spec: str):
             poly = LatticePoly.monomial(bumped)
         return poly
 
+    builder.built_target = False
     return builder
 
 
@@ -214,6 +220,8 @@ def cmd_verify(args) -> int:
     for r in range(1, args.rmax + 1):
         ctx = _make_context(args, base_alphas[:r])
         checks += _run_checks(args.suite, ctx, args.nmax, builder)
+    if builder and not builder.built_target:
+        raise ValueError(f"--inject-defect {args.inject_defect}: no check built its target")
     failed = any(entry["status"] != "pass" for entry in checks)
 
     report = {
@@ -378,10 +386,10 @@ def cmd_limit(args) -> int:
                 "d": format_scalar(math.log10(d0 / d1)) if d1 else None,
             }
         )
+    # each error sequence decreases strictly, or is exactly zero throughout
     decreasing = all(
-        later < earlier
-        for seq in zip(*[(e, b, d) for e, b, d in coeff_errors])
-        for earlier, later in zip(seq, seq[1:])
+        not any(seq) or all(later < earlier for earlier, later in zip(seq, seq[1:]))
+        for seq in zip(*coeff_errors)
     )
     report = {
         "command": "limit",

@@ -4,13 +4,15 @@ Each one is a second, independent path to a value the package computes
 another way: the closed binomial expansion of the n-fold difference, the
 streamed weights and their truncated sums, the product-form coefficients
 (exact only where at most one component of the multi-index is positive),
-the single-family form of the difference equation, the classical
-difference identity, and a dense Gauss-Jordan solve of the orthogonality
-system.  Three are the slower second paths to what a package kernel
-computes more cheaply: the Gram entry by the expanded falling product,
-Horner's rule on scalars, and the explicit double sum term by term.  None
-of them is reached by a command, so they live here rather than in the
-package.
+the closed form of the recurrence's down coefficients, the lowering and
+step-line coefficients peeled off the polynomials by moment ratios and by
+degree (the package uses their closed forms), the single-family form of
+the difference equation, the classical difference identity, and a dense
+Gauss-Jordan solve of the orthogonality system.  Three are the slower
+second paths to what a package kernel computes more cheaply: the Gram entry
+by the expanded falling product, Horner's rule on scalars, and the explicit
+double sum term by term.  None of them is reached by a command, so they
+live here rather than in the package.
 """
 
 import functools
@@ -35,6 +37,7 @@ from qcharlier.qkernels import (
 )
 from qcharlier.relations import (
     NNRecurrenceCoeffs,
+    SteplineCoeffs,
     _nn_b_closed_form,
     lowering_coeffs,
     nn_recurrence_coeffs,
@@ -250,6 +253,78 @@ def lowering_coeffs_product_form(index, ctx):
         ctx.q ** (index.weight - ni) * ctx.t * x_of(ni, ctx) if ni else ctx.zero()
         for ni in index
     )
+
+
+def lowering_coeffs_by_moments(index, ctx):
+    """beta_i as the moment-functional ratio
+
+        beta_i = Lambda'_i(Delta C_n [s]^(n_i - 1)) / Lambda'_i(C_{n-e_i}^(q a) [s]^(n_i - 1)),
+
+    with Lambda'_i the moment functional at parameter q alpha_i (zero when
+    n_i = 0): the projection that isolates beta_i, read off the oracle's
+    polynomials; the reference for the closed form of `lowering_coeffs`."""
+    index = MultiIndex.coerce(index)
+    scaled = ctx.with_all_alphas(a * ctx.q for a in ctx.alphas)
+    diff = delta_cov(to_falling_basis(_oracle(index, ctx), ctx), ctx)
+    betas = []
+    for i, ni in enumerate(index):
+        if ni == 0:
+            betas.append(ctx.zero())
+            continue
+        down = to_falling_basis(_oracle(index.down(i), scaled), scaled)
+        num = moment_pairing(diff, ni - 1, i, scaled)
+        betas.append(num / moment_pairing(down, ni - 1, i, scaled))
+    return tuple(betas)
+
+
+def nn_d_closed_form(index, ctx):
+    """Closed-form down coefficients of the nearest-neighbor recurrence,
+
+        d_i = alpha_i q^(2|n| - 1) [n_i]_q ((q-1) alpha_i q^(n_i) + 1)
+              prod_{j != i} (alpha_i q^(n_i) - alpha_j) / (alpha_i q^(n_i) - alpha_j q^(n_j)),
+
+    zero when n_i = 0 and the same for every stepped component; the
+    reference for the moment ratios of `nn_recurrence_coeffs`."""
+    index = MultiIndex.coerce(index)
+    d = []
+    for i, ni in enumerate(index):
+        if ni == 0:
+            d.append(ctx.zero())
+            continue
+        top = ctx.alphas[i] * ctx.q ** ni
+        di = ctx.alphas[i] * ctx.q ** (2 * index.weight - 1) * x_of(ni, ctx)
+        di *= (ctx.q - 1) * top + 1
+        for j, nj in enumerate(index):
+            if j != i:
+                di *= (top - ctx.alphas[j]) / (top - ctx.alphas[j] * ctx.q ** nj)
+        d.append(di)
+    return tuple(d)
+
+
+def stepline_coeffs_by_peel(n1, n2, ctx):
+    """Step-line c and d peeled off the falling-basis expansion of the
+    relation on the oracle's polynomials, with b from its closed form.
+
+    With every P normalized to top falling coefficient 1, the remainder
+    R = X P_(n1,n2) - q^N P_(n1,n2+1) - b P_(n1,n2) has degree below N; then
+    c = R_(N-1), R -= c P_(n1,n2-1), d = R_(N-2), each step clearing the top
+    coefficient of R against a polynomial of that degree.  c is read only
+    when n2 >= 1 and d only when n1, n2 >= 1.  The reference for the
+    closed forms of `stepline_coeffs`."""
+    N = n1 + n2
+
+    def p(m1, m2):
+        fall = to_falling_basis(_oracle(MultiIndex((m1, m2)), ctx), ctx)
+        return fall.scale(ctx.q ** (-binom2(m1 + m2)))
+
+    here = p(n1, n2)
+    b = _nn_b_closed_form(MultiIndex((n1, n2)), 1, ctx)
+    rest = falling_mul_falling(here, 1, ctx) - p(n1, n2 + 1).scale(ctx.q ** N) - here.scale(b)
+    c = rest.coefficient(N - 1) if n2 >= 1 else ctx.zero()
+    d = ctx.zero()
+    if n1 >= 1 and n2 >= 1:
+        d = (rest - p(n1, n2 - 1).scale(c)).coefficient(N - 2)
+    return SteplineCoeffs(b=b, c=c, d=d)
 
 
 def diff_eq_residual_single_family(index, ctx):

@@ -167,6 +167,18 @@ def test_verify_injected_defect_fails_with_named_identity(capsys):
     assert all("n" in entry for entry in report["checks"])
 
 
+@pytest.mark.parametrize("spec, reason", [
+    ("1,1:0:0", "an amount of 0 corrupts nothing"),
+    ("9,9:0", "no check built its target"),
+    ("1,1,1:0", "no check built its target"),
+])
+def test_verify_refuses_a_defect_that_corrupts_nothing(capsys, spec, reason):
+    code, out, err = run_cli(capsys, "verify", "--nmax", "1", "--inject-defect", spec)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --inject-defect {spec}: {reason}\n"
+
+
 def test_verify_rejects_bad_rmax(capsys):
     code, _, err = run_cli(capsys, "verify", "--rmax", "5")
     assert code == 2
@@ -245,6 +257,19 @@ def test_limit_command(capsys):
     assert errors[0] > errors[1] > errors[2]
     for order in report["empirical_orders"]:
         assert abs(float(order["coeff"]) - 1.0) < 0.2
+
+
+def test_limit_at_the_zero_index_passes(capsys):
+    # C_0 = 1 and every d vanish on both sides, so those errors are exactly
+    # zero at every m; only b converges
+    code, out, _ = run_cli(capsys, "limit", "--n", "0,0", "--quiet")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "pass"
+    for entry in report["entries"]:
+        assert entry["coeff_error"] == entry["d_error_max"] == "0"
+    errors = [float(entry["b_error_max"]) for entry in report["entries"]]
+    assert errors[0] > errors[1] > errors[2] > 0
 
 
 def test_usage_without_command(capsys):

@@ -8,7 +8,9 @@ both sides.  A case that records an `exit` status must end with it; the
 others must exit 0.  Float cases (`gen --q`, `limit`) were re-recorded when
 float contexts began to run the exact engine's algorithms; their recorded
 digits are also checked for accuracy, so a re-recording cannot make them
-worse."""
+worse.  The three `--inject-defect` cases were re-recorded when the lowering
+and step-line coefficients became closed forms that read no corrupted
+polynomial; their exit status stayed 1."""
 
 import json
 import re

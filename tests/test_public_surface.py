@@ -57,6 +57,9 @@ TEST_SIDE = [
     "nn_b_projection",
     "nn_recurrence_coeffs_product_form",
     "lowering_coeffs_product_form",
+    "lowering_coeffs_by_moments",
+    "nn_d_closed_form",
+    "stepline_coeffs_by_peel",
     "diff_eq_residual_single_family",
     "classical_diffeq_residual",
 ]

@@ -8,9 +8,12 @@ import pytest
 
 from oracles import (
     diff_eq_residual_single_family,
+    lowering_coeffs_by_moments,
     lowering_coeffs_product_form,
     nn_b_projection,
+    nn_d_closed_form,
     nn_recurrence_coeffs_product_form,
+    stepline_coeffs_by_peel,
 )
 from qcharlier import (
     MONOMIAL,
@@ -32,8 +35,26 @@ from qcharlier import (
 )
 from qcharlier import relations
 from qcharlier.latticefn import delta_cov
-from qcharlier.qkernels import to_falling_basis, x_of
+from qcharlier.qkernels import memo_scope, to_falling_basis, x_of
 from qcharlier.relations import stepline_valid
+
+#: contexts away from the fixed test point t = 9/10, on both sides of t = 1
+OFF_POINT = (
+    ("2/3", ["1/2", "5/3", "2/7", "9/4"]),
+    ("4/3", ["3/8", "9/2", "1/3", "6/5"]),
+    ("7/4", ["1", "4/3", "2/9", "5/2"]),
+    ("1/2", ["1/3", "4/5", "2", "7/3"]),
+)
+
+
+def off_point_grid(grid=((1, 4), (2, 3), (3, 2), (4, 1))):
+    """(context, multi-index) over the OFF_POINT contexts, for each
+    (r, nmax) of `grid` every index with n_i <= nmax."""
+    for t, alphas in OFF_POINT:
+        for r, nmax in grid:
+            ctx = QContext.from_t(t, alphas[:r])
+            for parts in itertools.product(range(nmax + 1), repeat=r):
+                yield ctx, parts
 
 
 def perturbing_builder(target_parts, amount=Fraction(1, 10 ** 6), coeff=0):
@@ -115,6 +136,16 @@ def test_nn_q_to_1_limit():
         assert abs(got.d[1] - 0.6 * 1) < 0.1 * tolerance_scale
 
 
+def test_nn_d_moment_ratios_match_closed_form(ctx3):
+    # the package keeps the moment ratios; the closed form is pinned here,
+    # the same for every stepped component k
+    pairs = [(ctx3, parts) for parts in itertools.product(range(3), repeat=3)]
+    for ctx, parts in pairs + list(off_point_grid()):
+        closed = nn_d_closed_form(parts, ctx)
+        for k in range(ctx.r):
+            assert nn_recurrence_coeffs(parts, k, ctx).d == closed, (ctx, parts, k)
+
+
 def test_nn_component_range_checked(ctx2):
     with pytest.raises(ValueError):
         nn_recurrence_coeffs((1, 1), 2, ctx2)
@@ -191,6 +222,33 @@ def test_lowering_product_form_breaks_at_two_active_components(ctx2):
     assert not residual.is_zero
 
 
+def test_lowering_closed_form_matches_moment_ratios():
+    for ctx, parts in off_point_grid():
+        assert lowering_coeffs(parts, ctx) == lowering_coeffs_by_moments(parts, ctx), (ctx, parts)
+
+
+def test_closed_coefficients_read_no_polynomial(ctx2, ctx3, clear_caches, monkeypatch):
+    # beta reads no polynomial, and the step-line c and d come from the
+    # recurrence's d instead of being peeled off the residual they check
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coefficient read a polynomial")
+
+    clear_caches()
+    monkeypatch.setattr(relations, "delta_cov", refuse)
+    monkeypatch.setattr(relations, "moment_pairing", refuse)
+    monkeypatch.setattr(relations, "falling_mul_falling", refuse)
+    betas = {parts: lowering_coeffs(parts, ctx3) for parts in [(2, 1, 1), (0, 2, 1)]}
+    assert all(not table for table in memo_scope(ctx3.q, ctx3.exact).memos.values())
+    monkeypatch.undo()
+    monkeypatch.setattr(relations, "falling_mul_falling", refuse)
+    steps = {parts: stepline_coeffs(*parts, ctx2) for parts in [(1, 1), (2, 1), (0, 2)]}
+    monkeypatch.undo()
+    for parts, got in betas.items():
+        assert got == lowering_coeffs_by_moments(parts, ctx3)
+    for parts, got in steps.items():
+        assert got == stepline_coeffs_by_peel(*parts, ctx2)
+
+
 def test_lowering_coeffs_sum_to_delta_leading(ctx2):
     # sum_i beta_i = q^(1/2) [|n|]_q (leading-coefficient law of Delta)
     for parts in [(1, 1), (2, 1), (2, 2), (3, 1)]:
@@ -235,6 +293,11 @@ def test_stepline_origin_consistent_with_nn(ctx2, q2):
     assert got.b == ctx2.alphas[1] * q2
     assert got.c == 0
     assert got.d == 0
+
+
+def test_stepline_closed_form_matches_peel():
+    for ctx, (n1, n2) in off_point_grid(grid=((2, 3),)):
+        assert stepline_coeffs(n1, n2, ctx) == stepline_coeffs_by_peel(n1, n2, ctx), (ctx, n1, n2)
 
 
 def test_stepline_residuals_vanish_on_valid_domain(ctx2):
@@ -314,13 +377,15 @@ def test_residuals_come_back_as_monomial_polynomials(ctx2):
     expected = p(1, 1).times_x() - p(1, 2).scale(q ** 2) - p(1, 1).scale(coeffs.b)
     expected = expected - p(1, 0).scale(coeffs.c) - p(0, 0).scale(coeffs.d)
     residual_checked(verify_stepline(1, 1, ctx2, builder=builder), expected)
-    # at (1,1):1 the lowering coefficients absorb the defect; (2,1):1 shows
-    builder = perturbing_builder((2, 1), coeff=1)
-    for residual in (
-        verify_lowering((2, 1), ctx2, builder=builder),
-        diff_eq_residual((2, 1), ctx2, builder=builder),
-    ):
-        assert residual.basis == MONOMIAL and not residual.is_zero
+    # the lowering coefficients read no polynomial, so (1,1):1 shows there
+    # as (2,1):1 does
+    for parts in ((1, 1), (2, 1)):
+        builder = perturbing_builder(parts, coeff=1)
+        for residual in (
+            verify_lowering(parts, ctx2, builder=builder),
+            diff_eq_residual(parts, ctx2, builder=builder),
+        ):
+            assert residual.basis == MONOMIAL and not residual.is_zero
 
 
 # ---------------------------------------------------------------------------
