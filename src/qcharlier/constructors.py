@@ -22,7 +22,8 @@ Construction routes:
   and factors are kept once per distinct system (`active_key`), and the
   falling solution is kept beside the monomial polynomial.  Its rows and
   right-hand sides are read from the Gram table of the memo scope
-  (`MemoScope.pairing`).
+  (`MemoScope.gram`), and every inner product of the solve is one exact
+  sum (`qkernels.dot`).
 * `build_rodrigues` - weight-conjugated iterated differences with the
   closed-form normalizing constant.
 * `build_explicit_r2` - finite double sum in the falling basis (r = 2),
@@ -52,6 +53,7 @@ from .qkernels import (
     Scalar,
     active_key,
     binom2,
+    dot,
     falling_mul_falling,
     from_falling_basis,
     memo_scope,
@@ -80,14 +82,12 @@ def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
     """Lambda_i( p * [s]^(k) ) for p in either basis: the sum of
     c_j Lambda_i([s]^(j) [s]^(k)) over the falling coefficients c_j of p,
     each unit pairing read from the Gram table of the memo scope
-    (`MemoScope.pairing`).
+    (`MemoScope.gram`), summed with one normalization (`qkernels.dot`).
     """
     scope = memo_scope(ctx.q, ctx.exact)
-    alpha = ctx.alphas[i]
-    total = scope.zero
-    for j, c in enumerate(to_falling_basis(p, ctx).coeffs):
-        total += c * scope.pairing(alpha, j, k)
-    return total
+    gram = scope.gram(ctx.alphas[i])
+    coeffs = to_falling_basis(p, ctx).coeffs
+    return dot(coeffs, [gram(j, k) for j in range(len(coeffs))], scope.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,8 @@ def _linear_system_poly(ctx: QContext, index: MultiIndex) -> dict:
         return {FALLING: LatticePoly.one(FALLING), MONOMIAL: LatticePoly.one()}
     scope = memo_scope(ctx.q, ctx.exact)
     lead = ctx.q ** binom2(n)
-    rhs = [-lead * scope.pairing(ctx.alphas[i], n, k) for i, k in _rows(index)]
+    grams = [scope.gram(a) for a in ctx.alphas]
+    rhs = [-lead * grams[i](n, k) for i, k in _rows(index)]
     solution = _lu_solve(_factors(ctx, index), rhs)
     fall = LatticePoly.falling(tuple(solution) + (lead,))
     poly = from_falling_basis(fall, ctx)
@@ -154,17 +155,13 @@ def _factors(ctx: QContext, index: MultiIndex):
     p, k = rows[-1]
     parent = index.down(p)
     lower, upper = _factors(ctx, parent) if parent.weight else ((), ())
-    alpha, j = ctx.alphas[p], len(rows) - 1
-    y = _forward(lower, [scope.pairing(ctx.alphas[i], j, ki) for i, ki in rows[:-1]])
+    grams = [scope.gram(a) for a in ctx.alphas]
+    gram, j = grams[p], len(rows) - 1
+    y = _forward(lower, [grams[i](j, ki) for i, ki in rows[:-1]])
     w = []
     for m, col in enumerate(upper):
-        acc = scope.pairing(alpha, m, k)
-        for wl, ul in zip(w, col):
-            acc -= wl * ul
-        w.append(acc / col[m])
-    pivot = scope.pairing(alpha, j, k)
-    for wl, yl in zip(w, y):
-        pivot -= wl * yl
+        w.append(dot(w, col, gram(m, k), -1) / col[m])
+    pivot = dot(w, y, gram(j, k), -1)
     if pivot == 0:
         raise ConstructionError(
             f"singular orthogonality system for {index.parts}: the pivot of row "
@@ -177,23 +174,21 @@ def _forward(lower, b):
     """z with L z = b, L unit lower triangular."""
     z = []
     for row, acc in zip(lower, b):
-        for l, c in enumerate(row):
-            acc -= c * z[l]
-        z.append(acc)
+        z.append(dot(row, z, acc, -1))
     return z
 
 
 def _lu_solve(factors, b):
-    """x with L U x = b: one forward pass, then one back pass over the
-    columns of U."""
+    """x with L U x = b: one forward pass, then one back pass, row by row
+    from the bottom: x_m = (z_m - sum_{l > m} U[l][m] x_l) / U[m][m], l
+    descending (`upper` holds the columns of U)."""
     lower, upper = factors
     z = _forward(lower, b)
-    x = [None] * len(z)
-    for m in range(len(z) - 1, -1, -1):
-        col = upper[m]
-        x[m] = z[m] / col[m]
-        for l in range(m):
-            z[l] -= col[l] * x[m]
+    n = len(z)
+    x = [None] * n
+    for m in range(n - 1, -1, -1):
+        later = range(n - 1, m, -1)
+        x[m] = dot([upper[l][m] for l in later], [x[l] for l in later], z[m], -1) / upper[m][m]
     return x
 
 
@@ -331,12 +326,16 @@ def _recurrence_step(ctx: QContext, prev: MultiIndex, k: int, prev_poly: Lattice
         return _recurrence_poly(c, m)
 
     coeffs = nn_recurrence_coeffs(prev, k, ctx, builder=recurrence_builder)
-    # X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m), the first factor of [s]^(1)
-    out = falling_mul_falling(prev_poly, 1, ctx) - prev_poly.scale(coeffs.b)
-    for i, di in enumerate(coeffs.d):
-        if di != 0:
-            out = out - _recurrence_poly(ctx, prev.down(i)).scale(di)
-    return out
+    terms = [(coeffs.b, prev_poly.coeffs)] + [
+        (di, _recurrence_poly(ctx, prev.down(i)).coeffs) for i, di in enumerate(coeffs.d) if di != 0
+    ]
+    # X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m), the first factor of [s]^(1);
+    # then one sum per coefficient, over the terms that reach it
+    out = []
+    for j, c in enumerate(falling_mul_falling(prev_poly, 1, ctx).coeffs):
+        reach = [(a, p[j]) for a, p in terms if j < len(p)]
+        out.append(dot([a for a, _ in reach], [v for _, v in reach], c, -1))
+    return LatticePoly.falling(out)
 
 
 def build(index, ctx: QContext, method: str = "linear_system") -> QCharlierPoly:

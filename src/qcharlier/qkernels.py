@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from .scalars import Scalar, parse_scalar
 
@@ -240,6 +240,47 @@ class MultiIndex:
         return cls(tuple(value))
 
 
+_RATIONAL = (int, Fraction)
+
+
+def dot(xs: Iterable[Scalar], ys: Iterable[Scalar], start: Scalar, sign: int = 1) -> Scalar:
+    """start + sign * sum(x * y for x, y in zip(xs, ys)), sign 1 or -1.
+
+    With a rational start and rational terms, the integer numerators of the
+    products are summed over the lcm of their denominators and the result
+    is normalized once, where adding term by term would normalize once per
+    term.  A float start takes the plain loop, term by term in order, so
+    float digits are those of that loop; float terms under a rational start
+    take it too.
+    """
+    pairs = zip(xs, ys)
+    if not isinstance(start, float):
+        pairs = list(pairs)
+        if all(isinstance(x, _RATIONAL) and isinstance(y, _RATIONAL) for x, y in pairs):
+            return _rational_dot(pairs, start, sign)
+    acc = start
+    if sign > 0:
+        for x, y in pairs:
+            acc += x * y
+    else:
+        for x, y in pairs:
+            acc -= x * y
+    return acc
+
+
+def _rational_dot(pairs, start, sign):
+    nums, dens = [], []
+    for x, y in pairs:
+        if x and y:
+            nums.append(x.numerator * y.numerator)
+            dens.append(x.denominator * y.denominator)
+    if not nums:
+        return start
+    denominator = math.lcm(start.denominator, *dens)
+    total = sum(n * (denominator // d) for n, d in zip(nums, dens))
+    return Fraction(start.numerator * (denominator // start.denominator) + sign * total, denominator)
+
+
 @dataclass(frozen=True)
 class LatticePoly:
     """Polynomial in X = x(s), in the monomial or falling-factorial basis.
@@ -309,7 +350,12 @@ class LatticePoly:
         )
 
     def __sub__(self, other: "LatticePoly") -> "LatticePoly":
-        return self + other.scale(-1)
+        self._check_same(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return LatticePoly(
+            self.basis,
+            [self.coefficient(i) - other.coefficient(i) for i in range(n)],
+        )
 
     def scale(self, c: Scalar) -> "LatticePoly":
         return LatticePoly(self.basis, [c * v for v in self.coeffs])
@@ -321,10 +367,12 @@ class LatticePoly:
             raise ValueError("product only defined in the monomial basis")
         if self.is_zero or other.is_zero:
             return LatticePoly.zero()
-        out = [self.coeffs[0] * 0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        a, b = self.coeffs, other.coeffs
+        start = a[0] * 0
+        out = []
+        for k in range(len(a) + len(b) - 1):
+            lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+            out.append(dot(a[lo:hi + 1], [b[k - i] for i in range(lo, hi + 1)], start))
         return LatticePoly(MONOMIAL, out)
 
     def times_x(self) -> "LatticePoly":
@@ -446,14 +494,15 @@ class MemoScope:
     """Memo tables shared by every context at one q and scalar backend.
 
     What depends on q alone: the powers q^m, the lattice values x(j) and
-    the falling-factorial polynomials [s]^(k).  What depends on (alpha, q):
-    the moment powers (alpha q)^m, the Gram table of unit pairings
-    Lambda([s]^(j)[s]^(k)) (`pairing`) and the degenerate orders that
+    the falling-factorial polynomials [s]^(k).  What depends on (alpha, q)
+    is kept in one `_WeightTables` per alpha: the moment powers
+    (alpha q)^m, the Gram table of unit pairings Lambda([s]^(j)[s]^(k))
+    (`gram`) and the degenerate order that
     `QContext.require_nondegenerate` decides (`degenerate_order`).  Each
     table is read through its method.  `memos` holds the tables of the
-    functions wrapped by `scoped_memo`: the recurrence route's polynomials,
-    keyed by (context, multi-index), and the oracle's solutions and LU
-    factors, keyed by `active_key`.
+    functions wrapped by `scoped_memo`: the recurrence route's polynomials
+    and the oracle's down coefficients, keyed by (context, multi-index), and
+    the oracle's solutions and LU factors, keyed by `active_key`.
     Exact and float scopes fill their tables by the same operations, so
     they differ only in the scalar type; cached values are the ones the
     uncached code would compute.
@@ -466,9 +515,7 @@ class MemoScope:
         self._qpow = {}
         self._x = {}
         self._falling = [LatticePoly.one()]
-        self._moments = {}
-        self._pairings = {}
-        self._degenerate_orders = {}
+        self._weights = {}
         self.memos = {}
 
     def qpow(self, m: int) -> Scalar:
@@ -492,20 +539,18 @@ class MemoScope:
             table.append((table[j] * shifted).scale(self.qpow(-j)))
         return table[k]
 
-    def moments(self, alpha: Scalar, count: int) -> list:
-        """The normalized moments (alpha q)^m by repeated multiplication,
-        at least `count` of them."""
-        if alpha not in self._moments:
-            self._moments[alpha] = [self.one]
-        powers = self._moments[alpha]
-        while len(powers) < count:
-            powers.append(powers[-1] * (alpha * self.q))
-        return powers
+    def _weight(self, alpha: Scalar) -> "_WeightTables":
+        tables = self._weights.get(alpha)
+        if tables is None:
+            tables = self._weights[alpha] = _WeightTables(alpha, self.one)
+        return tables
 
-    def pairing(self, alpha: Scalar, j: int, k: int) -> Scalar:
-        """Lambda([s]^(j) [s]^(k)) at weight parameter alpha.  Kept once per
-        (alpha, j, k) (the Gram table), so every context at this q with this
-        alpha shares it.
+    def gram(self, alpha: Scalar) -> Callable[[int, int], Scalar]:
+        """(j, k) -> Lambda([s]^(j) [s]^(k)) at weight parameter alpha.
+        Entries are kept once per (alpha, j, k) (the Gram table), so every
+        context at this q with this alpha shares them.  Finding the table
+        hashes alpha, and reading an entry hashes only (j, k), so a caller
+        looks the table up once per row or per sum.
 
         Entries follow the product rule of the falling basis:
         [s]^(k+1) = [s]^(k) (X - x(k))/q^k and
@@ -516,25 +561,48 @@ class MemoScope:
         from G(j, 0) = (alpha q)^j, which is Lambda [s]^(j) itself: O(1)
         per entry, on exact and float scopes alike.
         """
-        key = (alpha, j, k)
-        if key not in self._pairings:
+        return functools.partial(self._pairing, self._weight(alpha))
+
+    def _pairing(self, tables: "_WeightTables", j: int, k: int) -> Scalar:
+        key = (j, k)
+        if key not in tables.gram:
             if k == 0:
-                value = self.moments(alpha, j + 1)[j]
+                powers, step = tables.moments, tables.alpha * self.q
+                while len(powers) <= j:
+                    powers.append(powers[-1] * step)
+                value = powers[j]
             else:
                 value = self.qpow(1 - k) * (
-                    self.qpow(j) * self.pairing(alpha, j + 1, k - 1)
-                    + (self.x(j) - self.x(k - 1)) * self.pairing(alpha, j, k - 1)
+                    self.qpow(j) * self._pairing(tables, j + 1, k - 1)
+                    + (self.x(j) - self.x(k - 1)) * self._pairing(tables, j, k - 1)
                 )
-            self._pairings[key] = value
-        return self._pairings[key]
+            tables.gram[key] = value
+        return tables.gram[key]
 
     def degenerate_order(self, alpha: Scalar) -> Optional[int]:
         """The integer m >= 1 with (1-q)*alpha*q^m = 1, or None; decided
         exactly by `_q_exponent`, once per alpha."""
-        if alpha not in self._degenerate_orders:
+        tables = self._weight(alpha)
+        if tables.degenerate_order is _UNDECIDED:
             m = _q_exponent(1 / ((1 - self.q) * alpha), self.q) if self.q < 1 else None
-            self._degenerate_orders[alpha] = m if m is not None and m >= 1 else None
-        return self._degenerate_orders[alpha]
+            tables.degenerate_order = m if m is not None and m >= 1 else None
+        return tables.degenerate_order
+
+
+_UNDECIDED = object()
+
+
+class _WeightTables:
+    """What a memo scope keeps for one weight parameter alpha: the moments
+    (alpha q)^m, the Gram table keyed by (j, k), and the degenerate order."""
+
+    __slots__ = ("alpha", "moments", "gram", "degenerate_order")
+
+    def __init__(self, alpha: Scalar, one: Scalar):
+        self.alpha = alpha
+        self.moments = [one]
+        self.gram = {}
+        self.degenerate_order = _UNDECIDED
 
 
 @functools.lru_cache(maxsize=1)
@@ -576,29 +644,29 @@ def active_key(ctx: QContext, index: MultiIndex) -> tuple:
 
 
 def to_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
-    """Exact triangular conversion monomial -> falling."""
+    """Exact triangular conversion monomial -> falling, one coefficient at a
+    time from the top: c_e = (p_e - sum_{d > e} c_d F_d[e]) / F_e[e], with
+    F_d the monomial coefficients of [s]^(d) and d descending."""
     if p.basis == FALLING:
         return p
-    rest = list(p.coeffs)
-    out = [ctx.zero()] * len(rest)
-    for d in range(len(rest) - 1, -1, -1):
-        basis_poly = falling_factorial_poly(d, ctx)
-        c = rest[d] / basis_poly.coeffs[-1] if rest[d] != 0 else rest[d]
-        out[d] = c
-        if c != 0:
-            for i, b in enumerate(basis_poly.coeffs):
-                rest[i] -= c * b
-        del rest[d]
+    n = len(p.coeffs)
+    falling = [falling_factorial_poly(d, ctx).coeffs for d in range(n)]
+    out = [None] * n
+    for e in range(n - 1, -1, -1):
+        later = range(n - 1, e, -1)
+        rest = dot([out[d] for d in later], [falling[d][e] for d in later], p.coeffs[e], -1)
+        out[e] = rest / falling[e][e] if rest != 0 else rest
     return LatticePoly.falling(out)
 
 
 def from_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
-    """Triangular conversion falling -> monomial, summed into one list."""
+    """Triangular conversion falling -> monomial: the coefficient of X^i is
+    sum_{d >= i} c_d F_d[i], d ascending, F_d as in `to_falling_basis`."""
     if p.basis == MONOMIAL:
         return p
-    out = [0] * len(p.coeffs)
-    for d, c in enumerate(p.coeffs):
-        if c != 0:
-            for i, b in enumerate(falling_factorial_poly(d, ctx).coeffs):
-                out[i] += c * b
-    return LatticePoly.monomial(out)
+    n = len(p.coeffs)
+    falling = [falling_factorial_poly(d, ctx).coeffs for d in range(n)]
+    zero = ctx.zero()
+    return LatticePoly.monomial(
+        dot(p.coeffs[i:], [falling[d][i] for d in range(i, n)], zero) for i in range(n)
+    )

@@ -42,6 +42,7 @@ from .qkernels import (
     binom2,
     falling_mul_falling,
     from_falling_basis,
+    scoped_memo,
     to_falling_basis,
     x_of,
 )
@@ -91,13 +92,20 @@ def nn_recurrence_coeffs(
     zero when n_i = 0.  Projecting the recurrence onto Lambda_i against
     [s]^(n_i - 1) isolates d_i because every other term is killed by
     orthogonality; the same projection argument shows these are the unique
-    coefficients making the relation exact.
+    coefficients making the relation exact.  The d_i do not depend on k:
+    read from the oracle, they are kept once per (context, index) in the
+    memo scope; a builder's are computed on every call.
     """
     index = MultiIndex.coerce(index)
     if not 0 <= k < ctx.r:
         raise ValueError(f"component {k} out of range for r = {ctx.r}")
-    build = _falling(builder)
     b = _nn_b_closed_form(index, k, ctx)
+    d = _oracle_nn_d(ctx, index) if builder is None else _nn_d(index, ctx, builder)
+    return NNRecurrenceCoeffs(k=k, b=b, d=d)
+
+
+def _nn_d(index: MultiIndex, ctx: QContext, builder: Optional[Builder]) -> Tuple[Scalar, ...]:
+    build = _falling(builder)
     poly = build(index, ctx)
     d = []
     for i, ni in enumerate(index):
@@ -108,7 +116,12 @@ def nn_recurrence_coeffs(
         num = moment_pairing(poly, ni, i, ctx)
         den = moment_pairing(down, ni - 1, i, ctx)
         d.append(ctx.q ** (ni - 1) * num / den)
-    return NNRecurrenceCoeffs(k=k, b=b, d=tuple(d))
+    return tuple(d)
+
+
+@scoped_memo()
+def _oracle_nn_d(ctx: QContext, index: MultiIndex) -> Tuple[Scalar, ...]:
+    return _nn_d(index, ctx, None)
 
 
 def _nn_b_closed_form(index: MultiIndex, k: int, ctx: QContext) -> Scalar:

@@ -1,6 +1,8 @@
 """Construction routes: examples, cross-method agreement, and the moments."""
 
+import cProfile
 import itertools
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -215,16 +217,47 @@ def test_float_and_exact_oracle_run_the_same_algorithm(clear_caches):
     clear_caches()
     build_linear_system((3, 2), ctx)
     scope = memo_scope(ctx.q, ctx.exact)
-    float_gram = dict(scope._pairings)
+    float_gram = _gram_entries(scope)
     float_factors = set(scope.memos["_factors"])
     shadow = _exact_shadow(ctx)
     build_linear_system((3, 2), shadow)
     scope = memo_scope(shadow.q, shadow.exact)
-    assert set(float_gram) == set(scope._pairings)
+    exact_gram = _gram_entries(scope)
+    assert set(float_gram) == set(exact_gram)
     assert float_factors == set(scope.memos["_factors"])
     for key, value in float_gram.items():
-        exact = scope._pairings[key]
+        exact = exact_gram[key]
         assert abs(value - exact) <= 1e-12 * abs(exact), key
+
+
+def _gram_entries(scope):
+    """Every Gram entry a scope holds, keyed by (alpha, j, k)."""
+    return {
+        (alpha, j, k): value
+        for alpha, tables in scope._weights.items()
+        for (j, k), value in tables.gram.items()
+    }
+
+
+#: Ceilings on the math.gcd calls of one cold (10, 10) build at t = 9/10,
+#: alphas (1/2, 3/5), counted with CPython 3.11's fractions module.  With one
+#: normalization per exact sum (`qkernels.dot`) the counts are 6,292
+#: (system) and 16,504 (recurrence).  Summing term by term again, in the
+#: constructors or in the basis conversions alone, gives at least 8,375 and
+#: 18,587; normalizing every term everywhere gave 19,372 and 37,361.
+GCD_CEILINGS = {"linear_system": 7_500, "recurrence": 17_500}
+
+
+@pytest.mark.parametrize("method", sorted(GCD_CEILINGS))
+def test_cold_build_normalizes_once_per_sum(clear_caches, ctx2, method):
+    clear_caches()
+    profile = cProfile.Profile()
+    profile.runcall(build, (10, 10), ctx2, method)
+    gcd_calls = sum(
+        stats[1] for (_, _, name), stats in pstats.Stats(profile).stats.items()
+        if name == "<built-in method math.gcd>"
+    )
+    assert 0 < gcd_calls <= GCD_CEILINGS[method]
 
 
 @settings(max_examples=20, deadline=None)

@@ -32,6 +32,7 @@ from qcharlier.qkernels import (
     MemoScope,
     active_key,
     binom2,
+    dot,
     falling_factorial_poly,
     falling_mul_falling,
     from_falling_basis,
@@ -289,8 +290,9 @@ def test_exact_gram_recurrence_matches_expanded_product(clear_caches, t, alphas)
     ctx = QContext.from_t(t, alphas)
     scope = memo_scope(ctx.q, ctx.exact)
     for i, alpha in enumerate(ctx.alphas):
+        gram = scope.gram(alpha)
         for j, k in itertools.product(range(13), repeat=2):
-            assert scope.pairing(alpha, j, k) == gram_by_expansion(ctx, i, j, k), (i, j, k)
+            assert gram(j, k) == gram_by_expansion(ctx, i, j, k), (i, j, k)
 
 
 RATIONALS = st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=30)
@@ -329,6 +331,52 @@ def test_float_compose_affine_keeps_its_operation_order(coeffs, q):
     composed = poly.compose_affine(1 / q, -1 / q)
     assert composed.coeffs == compose_affine_horner(poly, 1 / q, -1 / q).coeffs
     assert all(isinstance(c, float) for c in composed.coeffs)
+
+
+def _plain_dot(xs, ys, start, sign):
+    acc = start
+    for x, y in zip(xs, ys):
+        if sign > 0:
+            acc += x * y
+        else:
+            acc -= x * y
+    return acc
+
+
+EXACT = st.one_of(st.integers(-50, 50), RATIONALS)
+FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(EXACT, EXACT), max_size=12), EXACT, st.sampled_from([1, -1]))
+def test_dot_equals_the_plain_loop_on_rationals(pairs, start, sign):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got = dot(xs, ys, start, sign)
+    assert isinstance(got, (int, Fraction))
+    assert got == _plain_dot(xs, ys, start, sign)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(FLOATS, FLOATS), max_size=12), FLOATS, st.sampled_from([1, -1]))
+def test_dot_runs_the_plain_loop_on_floats(pairs, start, sign):
+    # bit for bit, the sign of a zero included
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert repr(dot(xs, ys, start, sign)) == repr(_plain_dot(xs, ys, start, sign))
+
+
+def test_dot_edge_cases():
+    third, half = Fraction(1, 3), Fraction(-1, 2)
+    assert dot([], [], third) == third
+    assert dot([0, Fraction(0)], [third, half], half, -1) == half
+    assert dot([third, half], [half, third], Fraction(0)) == Fraction(-1, 3)
+    assert dot([third, half], [half, third], 1, -1) == Fraction(4, 3)
+    # denominators that share factors, and a result that reduces to an integer
+    xs, ys = [Fraction(1, 6), Fraction(1, 10), Fraction(1, 15)], [Fraction(1, 4), 3, 5]
+    assert dot(xs, ys, Fraction(13, 40)) == 1
+    # float terms under a rational start take the plain loop too
+    xs, ys = [0.1, third], [3.0, 0.7]
+    assert repr(dot(xs, ys, half, -1)) == repr(_plain_dot(xs, ys, half, -1))
+    assert repr(dot([0.0], [-1.0], -0.0)) == repr(_plain_dot([0.0], [-1.0], -0.0, 1))
 
 
 def test_one_memo_scope_alive(clear_caches):

@@ -33,7 +33,7 @@ from qcharlier import (
     verify_raising,
     verify_stepline,
 )
-from qcharlier import relations
+from qcharlier import cli, relations
 from qcharlier.latticefn import delta_cov
 from qcharlier.qkernels import memo_scope, to_falling_basis, x_of
 from qcharlier.relations import stepline_valid
@@ -149,6 +149,35 @@ def test_nn_d_moment_ratios_match_closed_form(ctx3):
 def test_nn_component_range_checked(ctx2):
     with pytest.raises(ValueError):
         nn_recurrence_coeffs((1, 1), 2, ctx2)
+
+
+def test_oracle_d_is_computed_once_per_context_and_index(ctx2, clear_caches, monkeypatch, capsys):
+    # d does not depend on the stepped component: read from the oracle it is
+    # computed once per (context, index) over a whole sweep, where every k
+    # and every step-line cell used to recompute it (240 runs for these 84
+    # pairs); with a builder it is computed on every call
+    clear_caches()
+    runs = []
+    compute = relations._nn_d
+
+    def counting(index, ctx, builder):
+        runs.append((ctx, index, builder))
+        return compute(index, ctx, builder)
+
+    monkeypatch.setattr(relations, "_nn_d", counting)
+    assert cli.main(["verify", "--rmax", "3", "--nmax", "3", "--quiet"]) == 0
+    capsys.readouterr()
+    assert len(runs) == len({(ctx, index) for ctx, index, _ in runs}) == 84
+    assert {builder for _, _, builder in runs} == {None}
+    oracle_d = nn_recurrence_coeffs((2, 1), 0, ctx2).d
+    runs.clear()
+
+    def builder(index, context):
+        return build_rodrigues(index, context).poly
+
+    first, second = (nn_recurrence_coeffs((2, 1), k, ctx2, builder=builder) for k in range(2))
+    assert first.d == second.d == oracle_d
+    assert [(index.parts, b) for _, index, b in runs] == [((2, 1), builder)] * 2
 
 
 def test_nn_coeffs_permutation_equivariant(ctx2):
