@@ -31,13 +31,7 @@ def classical_build(index, alphas, path: Optional[Sequence[int]] = None) -> Latt
         raise ValueError("weight parameters must be positive and pairwise distinct")
     if path is None:
         path = [i for i, ni in enumerate(index) for _ in range(ni)]
-    counts = [0] * len(index)
-    for k in path:
-        if not 0 <= k < len(index):
-            raise ValueError(f"path component {k} out of range for r = {len(index)}")
-        counts[k] += 1
-    if tuple(counts) != index.parts:
-        raise ValueError(f"path {list(path)} does not lead from 0 to {index.parts}")
+    path = index.walk(path)
 
     one = Fraction(1) if isinstance(alphas[0], Fraction) else 1.0
     table = {(0,) * len(index): LatticePoly.monomial((one,))}

@@ -340,6 +340,9 @@ def _exact_shadow(ctx: QContext) -> QContext:
 # ---------------------------------------------------------------------------
 
 def cmd_limit(args) -> int:
+    exponents = sorted(int(v) for v in args.m_list.split(","))
+    if len(set(exponents)) != len(exponents) or len(exponents) < 2:
+        raise ValueError(f"--m-list {args.m_list}: convergence needs two or more distinct exponents")
     index = _parse_index(args.n)
     r = len(index)
     alpha_strs = _alphas(args, r, f"multi-index {args.n}")
@@ -349,7 +352,7 @@ def cmd_limit(args) -> int:
 
     entries = []
     coeff_errors = []
-    for m in [int(v) for v in args.m_list.split(",")]:
+    for m in exponents:
         q = 1.0 - 10.0 ** (-m)
         ctx = QContext.from_q_float(q, [float(a) for a in alphas_exact])
         poly = build(index, ctx, method="recurrence").poly

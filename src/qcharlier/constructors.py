@@ -29,9 +29,9 @@ Construction routes:
 * `build_explicit_r2` - finite double sum in the falling basis (r = 2),
   a convolution of two one-index sequences.
 * `build_recurrence` - iterates the nearest-neighbor relation from C_0 = 1
-  in the falling basis, where multiplying by X is an exact rewrite and each
-  pairing reads the Gram table without a basis change, converting only the
-  result to monomials.
+  in the falling basis, one step of `qkernels.falling_recurrence` (the
+  kernel the recurrence checks call) each, its polynomials kept once per
+  `active_key`; it converts only the result to monomials.
 
 Float contexts run the same algorithms as exact ones, in floats: the same
 Gram recurrence, the same bordered LU and the same falling basis.
@@ -51,10 +51,9 @@ from .qkernels import (
     MultiIndex,
     QContext,
     Scalar,
-    active_key,
     binom2,
     dot,
-    falling_mul_falling,
+    falling_recurrence,
     from_falling_basis,
     memo_scope,
     scoped_memo,
@@ -103,7 +102,7 @@ def build_linear_system(index, ctx: QContext, basis: str = MONOMIAL) -> QCharlie
     return QCharlierPoly(ctx, index, poly, "linear_system")
 
 
-@scoped_memo(key=active_key)
+@scoped_memo
 def _linear_system_poly(ctx: QContext, index: MultiIndex) -> dict:
     """C_index in both bases, {FALLING: solution, MONOMIAL: polynomial}.
     Kept once per `active_key`: contexts and indices that share a system
@@ -128,7 +127,7 @@ def _rows(index: MultiIndex):
     return [(i, k) for i, ni in enumerate(index) for k in range(ni)]
 
 
-@scoped_memo(key=active_key)
+@scoped_memo
 def _factors(ctx: QContext, index: MultiIndex):
     """LU factors, without pivoting, of the oracle matrix of a nonzero
     `index` (rows `_rows(index)`, columns j < |n|, entries
@@ -260,12 +259,9 @@ def build_explicit_r2(n1: int, n2: int, ctx: QContext) -> QCharlierPoly:
             out.append(out[-1] * (scope.x(n - k + 1) / scope.x(k) * scope.qpow(k - 1) * step))
         return out
 
-    fall = [ctx.zero()] * (n1 + n2 + 1)
-    right = terms(n2, a2)
-    for k, ak in enumerate(terms(n1, a1)):
-        for l, bl in enumerate(right):
-            fall[k + l] += ak * bl
-    poly = from_falling_basis(LatticePoly.falling(fall), ctx).scale(prefactor)
+    # the convolution is the coefficient product of the two sequences
+    fall = LatticePoly.monomial(terms(n1, a1)) * LatticePoly.monomial(terms(n2, a2))
+    poly = from_falling_basis(LatticePoly.falling(fall.coeffs), ctx).scale(prefactor)
     if ctx.exact and (poly.degree != index.weight or poly.leading != 1):
         raise ConstructionError(f"double sum for {index.parts} is not monic")
     return QCharlierPoly(ctx, index, poly, "explicit_r2")
@@ -280,7 +276,7 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
     (a sequence of 0-based component indices; any order reaching `index`).
 
     Lower neighbors off the walked chain are built through the same
-    recurrence (memoized per context), never through the linear system, so
+    recurrence (memoized per `active_key`), never through the linear system, so
     this route stays independent of the oracle.  The result is
     path-independent, exactly.
     """
@@ -288,24 +284,15 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
     _check_index(index, ctx)
     if path is None:
         poly = _recurrence_poly(ctx, index)
-        return QCharlierPoly(ctx, index, from_falling_basis(poly, ctx), "recurrence")
-    path = [int(k) for k in path]
-    counts = [0] * ctx.r
-    for k in path:
-        if not 0 <= k < ctx.r:
-            raise ValueError(f"path component {k} out of range for r = {ctx.r}")
-        counts[k] += 1
-    if tuple(counts) != index.parts:
-        raise ValueError(f"path {path} does not lead from 0 to {index.parts}")
-    current = MultiIndex((0,) * ctx.r)
-    poly = _recurrence_poly(ctx, current)
-    for k in path:
-        poly = _recurrence_step(ctx, current, k, poly)
-        current = current.up(k)
+    else:
+        current, poly = MultiIndex((0,) * ctx.r), LatticePoly.one(FALLING)
+        for k in index.walk(path):
+            poly = _recurrence_step(ctx, current, k, poly)
+            current = current.up(k)
     return QCharlierPoly(ctx, index, from_falling_basis(poly, ctx), "recurrence")
 
 
-@scoped_memo()
+@scoped_memo
 def _recurrence_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
     """C_index by the recurrence, in the falling basis."""
     if index.weight == 0:
@@ -316,26 +303,15 @@ def _recurrence_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
 
 
 def _recurrence_step(ctx: QContext, prev: MultiIndex, k: int, prev_poly: LatticePoly) -> LatticePoly:
-    # C_{m+e_k} = (X - b) C_m - sum_i d_i C_{m-e_i}
+    # C_{m+e_k} = X C_m - b C_m - sum_i d_i C_{m-e_i}; the d_i read the
+    # same polynomials the step subtracts, C_m and its down neighbors
     from .relations import nn_recurrence_coeffs
 
-    def recurrence_builder(m, c):
-        m = MultiIndex.coerce(m)
-        if m.parts == prev.parts:
-            return prev_poly
-        return _recurrence_poly(c, m)
-
-    coeffs = nn_recurrence_coeffs(prev, k, ctx, builder=recurrence_builder)
-    terms = [(coeffs.b, prev_poly.coeffs)] + [
-        (di, _recurrence_poly(ctx, prev.down(i)).coeffs) for i, di in enumerate(coeffs.d) if di != 0
-    ]
-    # X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m), the first factor of [s]^(1);
-    # then one sum per coefficient, over the terms that reach it
-    out = []
-    for j, c in enumerate(falling_mul_falling(prev_poly, 1, ctx).coeffs):
-        reach = [(a, p[j]) for a, p in terms if j < len(p)]
-        out.append(dot([a for a, _ in reach], [v for _, v in reach], c, -1))
-    return LatticePoly.falling(out)
+    downs = [(i, prev.down(i)) for i, ni in enumerate(prev.parts) if ni]
+    table = {prev: prev_poly, **{m: _recurrence_poly(ctx, m) for _, m in downs}}
+    coeffs = nn_recurrence_coeffs(prev, k, ctx, builder=lambda m, _: table[m])
+    terms = [(coeffs.b, prev_poly)] + [(coeffs.d[i], table[m]) for i, m in downs]
+    return falling_recurrence(prev_poly, terms, ctx)
 
 
 def build(index, ctx: QContext, method: str = "linear_system") -> QCharlierPoly:

@@ -150,9 +150,10 @@ class QContext:
         `validate`: the context stays valid for every index with all
         n_i <= m.
         """
+        scope = memo_scope(self.q, self.exact)
         for i, ni in enumerate(index):
             # m >= 1, so only n_i >= 2 can exceed it
-            m = memo_scope(self.q, self.exact).degenerate_order(self.alphas[i]) if ni >= 2 else None
+            m = scope.degenerate_order(self.alphas[i]) if ni >= 2 else None
             if m is not None and ni > m:
                 raise ValidationError(
                     "degenerate",
@@ -230,6 +231,16 @@ class MultiIndex:
         parts = list(self.parts)
         parts[i] -= 1
         return MultiIndex(parts)
+
+    def walk(self, path: Iterable[int]) -> list:
+        """`path`, 0-based components in any order, checked to step from 0 here."""
+        path = [int(k) for k in path]
+        for k in path:
+            if not 0 <= k < len(self):
+                raise ValueError(f"path component {k} out of range for r = {len(self)}")
+        if tuple(path.count(i) for i in range(len(self))) != self.parts:
+            raise ValueError(f"path {path} does not lead from 0 to {self.parts}")
+        return path
 
     @classmethod
     def coerce(cls, value) -> "MultiIndex":
@@ -468,10 +479,11 @@ def _falling_factor(p: LatticePoly, j: int, scope: "MemoScope") -> LatticePoly:
     for m, c in enumerate(p.coeffs):
         out[m + 1] += c * scope.qpow(m)
         out[m] += c * scope.x(m)
-    x_j, step = scope.x(j), scope.qpow(-j)
-    for m, c in enumerate(p.coeffs):
-        out[m] = step * (out[m] - x_j * c)
-    out[-1] = step * out[-1]
+    if j:  # the factor of j = 0 is X itself: x(0) = 0 and q^0 = 1
+        x_j, step = scope.x(j), scope.qpow(-j)
+        for m, c in enumerate(p.coeffs):
+            out[m] = step * (out[m] - x_j * c)
+        out[-1] = step * out[-1]
     return LatticePoly.falling(out)
 
 
@@ -490,6 +502,22 @@ def falling_mul_falling(p: LatticePoly, k: int, ctx: QContext) -> LatticePoly:
     return out
 
 
+def falling_recurrence(p: LatticePoly, terms, ctx: QContext) -> LatticePoly:
+    """X p - sum a r over the (a, r) in `terms` with a != 0, all in the
+    falling basis: X p by `falling_mul_falling(p, 1, ctx)`, then one sum
+    (`dot`) per coefficient over the terms that reach it, in the order
+    given, so float digits are those of the chain X p - a_1 r_1 - ...
+    """
+    top = falling_mul_falling(p, 1, ctx).coeffs
+    terms = [(a, r.coeffs) for a, r in terms if a != 0]
+    out = []
+    for j in range(max([len(top)] + [len(r) for _, r in terms])):
+        reach = [(a, r[j]) for a, r in terms if j < len(r)]
+        start = top[j] if j < len(top) else ctx.zero()
+        out.append(dot([a for a, _ in reach], [v for _, v in reach], start, -1))
+    return LatticePoly.falling(out)
+
+
 class MemoScope:
     """Memo tables shared by every context at one q and scalar backend.
 
@@ -500,9 +528,9 @@ class MemoScope:
     (`gram`) and the degenerate order that
     `QContext.require_nondegenerate` decides (`degenerate_order`).  Each
     table is read through its method.  `memos` holds the tables of the
-    functions wrapped by `scoped_memo`: the recurrence route's polynomials
-    and the oracle's down coefficients, keyed by (context, multi-index), and
-    the oracle's solutions and LU factors, keyed by `active_key`.
+    functions wrapped by `scoped_memo`, all keyed by `active_key`: the
+    oracle's solutions and LU factors, the recurrence route's polynomials
+    and the oracle's down coefficients.
     Exact and float scopes fill their tables by the same operations, so
     they differ only in the scalar type; cached values are the ones the
     uncached code would compute.
@@ -583,13 +611,13 @@ class MemoScope:
         """The integer m >= 1 with (1-q)*alpha*q^m = 1, or None; decided
         exactly by `_q_exponent`, once per alpha."""
         tables = self._weight(alpha)
-        if tables.degenerate_order is _UNDECIDED:
+        if tables.degenerate_order is _UNSET:
             m = _q_exponent(1 / ((1 - self.q) * alpha), self.q) if self.q < 1 else None
             tables.degenerate_order = m if m is not None and m >= 1 else None
         return tables.degenerate_order
 
 
-_UNDECIDED = object()
+_UNSET = object()
 
 
 class _WeightTables:
@@ -602,7 +630,7 @@ class _WeightTables:
         self.alpha = alpha
         self.moments = [one]
         self.gram = {}
-        self.degenerate_order = _UNDECIDED
+        self.degenerate_order = _UNSET
 
 
 @functools.lru_cache(maxsize=1)
@@ -615,23 +643,22 @@ def memo_scope(q: Scalar, exact: bool) -> MemoScope:
     return MemoScope(q, exact)
 
 
-def scoped_memo(key=lambda ctx, index: (ctx, index)):
-    """Memoize fn(ctx, index) under key(ctx, index) in the memo scope of
-    ctx, so its entries are dropped with the scope's tables when q changes.
-    The default key is the pair itself."""
+def scoped_memo(fn):
+    """Memoize fn(ctx, index) under `active_key(ctx, index)` in the memo
+    scope of ctx, so its entries are dropped with the scope's tables when q
+    changes.  The value of fn may depend on nothing of (ctx, index) but q
+    and that key; each read looks the key up once."""
 
-    def decorate(fn):
-        @functools.wraps(fn)
-        def memoized(ctx: QContext, index: MultiIndex):
-            memo = memo_scope(ctx.q, ctx.exact).memos.setdefault(fn.__name__, {})
-            entry = key(ctx, index)
-            if entry not in memo:
-                memo[entry] = fn(ctx, index)
-            return memo[entry]
+    @functools.wraps(fn)
+    def memoized(ctx: QContext, index: MultiIndex):
+        memo = memo_scope(ctx.q, ctx.exact).memos.setdefault(fn.__name__, {})
+        key = active_key(ctx, index)
+        value = memo.get(key, _UNSET)
+        if value is _UNSET:
+            value = memo[key] = fn(ctx, index)
+        return value
 
-        return memoized
-
-    return decorate
+    return memoized
 
 
 def active_key(ctx: QContext, index: MultiIndex) -> tuple:
@@ -639,8 +666,9 @@ def active_key(ctx: QContext, index: MultiIndex) -> tuple:
     system of `index` reads nothing else of its context besides q, so all
     (context, index) pairs at one q with the same key have the same system:
     (n1, n2, 0) at (a, b, c) and (n1, n2) at (a, b), or an index whose zero
-    components carry a shifted weight."""
-    return tuple((a, ni) for a, ni in zip(ctx.alphas, index) if ni)
+    components carry a shifted weight.  So do the recurrence route's C_n and
+    d_i: a zero component adds exactly 0 to b and carries d_i = 0."""
+    return tuple([(a, ni) for a, ni in zip(ctx.alphas, index.parts) if ni])
 
 
 def to_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:

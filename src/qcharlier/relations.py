@@ -14,7 +14,9 @@ into falling form once (the oracle hands over its solution as solved, with
 no basis change); multiplying by X is the exact rewrite
 X [s]^(k) = q^k [s]^(k+1) + x(k) [s]^(k); the operators of `latticefn` act
 in O(deg) there; each pairing reads the Gram table; and only the residual is
-converted to monomials, once, at the end.
+converted to monomials, once, at the end.  The nearest-neighbor and
+step-line residuals are the step the recurrence route takes
+(`qkernels.falling_recurrence`), with the upper neighbor as one more term.
 
 Coefficient conventions.  The raising constant, the lowering coefficients
 and the recurrence's b are closed forms in t, q and the weights: they read
@@ -40,7 +42,7 @@ from .qkernels import (
     QContext,
     Scalar,
     binom2,
-    falling_mul_falling,
+    falling_recurrence,
     from_falling_basis,
     scoped_memo,
     to_falling_basis,
@@ -93,33 +95,32 @@ def nn_recurrence_coeffs(
     [s]^(n_i - 1) isolates d_i because every other term is killed by
     orthogonality; the same projection argument shows these are the unique
     coefficients making the relation exact.  The d_i do not depend on k:
-    read from the oracle, they are kept once per (context, index) in the
-    memo scope; a builder's are computed on every call.
+    read from the oracle, they are kept once per `active_key` in the memo
+    scope; a builder's are computed on every call.
     """
     index = MultiIndex.coerce(index)
     if not 0 <= k < ctx.r:
         raise ValueError(f"component {k} out of range for r = {ctx.r}")
     b = _nn_b_closed_form(index, k, ctx)
-    d = _oracle_nn_d(ctx, index) if builder is None else _nn_d(index, ctx, builder)
+    active = iter(_oracle_nn_d(ctx, index) if builder is None else _nn_d(index, ctx, builder))
+    d = tuple(next(active) if ni else ctx.zero() for ni in index.parts)
     return NNRecurrenceCoeffs(k=k, b=b, d=d)
 
 
 def _nn_d(index: MultiIndex, ctx: QContext, builder: Optional[Builder]) -> Tuple[Scalar, ...]:
+    """The d_i of the nonzero n_i, in component order."""
     build = _falling(builder)
     poly = build(index, ctx)
     d = []
-    for i, ni in enumerate(index):
-        if ni == 0:
-            d.append(ctx.zero())
-            continue
-        down = build(index.down(i), ctx)
-        num = moment_pairing(poly, ni, i, ctx)
-        den = moment_pairing(down, ni - 1, i, ctx)
-        d.append(ctx.q ** (ni - 1) * num / den)
+    for i, ni in enumerate(index.parts):
+        if ni:
+            num = moment_pairing(poly, ni, i, ctx)
+            den = moment_pairing(build(index.down(i), ctx), ni - 1, i, ctx)
+            d.append(ctx.q ** (ni - 1) * num / den)
     return tuple(d)
 
 
-@scoped_memo()
+@scoped_memo
 def _oracle_nn_d(ctx: QContext, index: MultiIndex) -> Tuple[Scalar, ...]:
     return _nn_d(index, ctx, None)
 
@@ -140,12 +141,10 @@ def verify_nn_recurrence(
     build = _falling(builder)
     coeffs = nn_recurrence_coeffs(index, k, ctx, builder=builder)
     poly = build(index, ctx)
-    residual = falling_mul_falling(poly, 1, ctx) - build(index.up(k), ctx)
-    residual = residual - poly.scale(coeffs.b)
-    for i, di in enumerate(coeffs.d):
-        if di != 0:
-            residual = residual - build(index.down(i), ctx).scale(di)
-    return from_falling_basis(residual, ctx)
+    terms = [(1, build(index.up(k), ctx)), (coeffs.b, poly)] + [
+        (di, build(index.down(i), ctx)) for i, di in enumerate(coeffs.d) if index[i]
+    ]
+    return from_falling_basis(falling_recurrence(poly, terms, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +326,9 @@ def verify_stepline(
         return build(MultiIndex((m1, m2)), ctx).scale(ctx.q ** (-binom2(m1 + m2)))
 
     here = p(n1, n2)
-    residual = falling_mul_falling(here, 1, ctx) - p(n1, n2 + 1).scale(ctx.q ** N)
-    residual = residual - here.scale(coeffs.b)
-    residual = residual - p(n1, n2 - 1).scale(coeffs.c)
-    residual = residual - p(n1 - 1, n2 - 1).scale(coeffs.d)
-    return from_falling_basis(residual, ctx)
+    down, diagonal = p(n1, n2 - 1), p(n1 - 1, n2 - 1)
+    terms = [(ctx.q ** N, p(n1, n2 + 1)), (coeffs.b, here), (coeffs.c, down), (coeffs.d, diagonal)]
+    return from_falling_basis(falling_recurrence(here, terms, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------

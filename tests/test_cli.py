@@ -272,6 +272,24 @@ def test_limit_at_the_zero_index_passes(capsys):
     assert errors[0] > errors[1] > errors[2] > 0
 
 
+def test_limit_takes_the_exponents_in_increasing_order(capsys):
+    # convergence is judged along increasing m whatever the listed order
+    _, expected, _ = run_cli(capsys, "limit", "--n", "2,1", "--m-list", "2,3,4", "--quiet")
+    for listed in ("3,2,4", "4,3,2"):
+        code, out, _ = run_cli(capsys, "limit", "--n", "2,1", "--m-list", listed, "--quiet")
+        assert code == 0
+        assert out == expected
+
+
+@pytest.mark.parametrize("listed", ["2,2", "2,3,3", "2"])
+def test_limit_refuses_repeated_or_single_exponents(capsys, listed):
+    # a repeated m cannot decrease, and one m states no convergence at all
+    code, out, err = run_cli(capsys, "limit", "--n", "2,1", "--m-list", listed)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: --m-list {listed}: ")
+
+
 def test_usage_without_command(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2

@@ -242,10 +242,11 @@ def _gram_entries(scope):
 #: Ceilings on the math.gcd calls of one cold (10, 10) build at t = 9/10,
 #: alphas (1/2, 3/5), counted with CPython 3.11's fractions module.  With one
 #: normalization per exact sum (`qkernels.dot`) the counts are 6,292
-#: (system) and 16,504 (recurrence).  Summing term by term again, in the
+#: (system) and 13,074 (recurrence, which skips the identity factor of
+#: X = [s]^(1) at j = 0; 16,504 with it).  Summing term by term again, in the
 #: constructors or in the basis conversions alone, gives at least 8,375 and
 #: 18,587; normalizing every term everywhere gave 19,372 and 37,361.
-GCD_CEILINGS = {"linear_system": 7_500, "recurrence": 17_500}
+GCD_CEILINGS = {"linear_system": 7_500, "recurrence": 13_500}
 
 
 @pytest.mark.parametrize("method", sorted(GCD_CEILINGS))

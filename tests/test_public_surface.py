@@ -9,10 +9,10 @@ import pkgutil
 from fractions import Fraction
 
 import qcharlier
-from qcharlier import QContext, build, constructors
+from qcharlier import QContext, build, constructors, relations
 from qcharlier.constructors import QCharlierPoly
 from qcharlier.latticefn import WeightedLatticeFn
-from qcharlier.qkernels import MemoScope
+from qcharlier.qkernels import MemoScope, scoped_memo
 
 PUBLIC = [
     "FALLING",
@@ -90,7 +90,9 @@ def test_memo_tables_have_one_owner():
     # the Gram table and the degenerate orders are read through `MemoScope`
     # methods, and the oracle's factors through `scoped_memo`; no route
     # keeps a memo of its own, and float contexts keep no second copy of a
-    # table or of the solve
+    # table or of the solve.  `scoped_memo` has one key, `active_key`, and
+    # the recurrence step has one implementation, the kernel the route and
+    # both recurrence checks call
     for name in ("_unit_pairing", "_contract", "_rodrigues_poly", "_solve"):
         assert not hasattr(constructors, name)
     for name in ("falling_product", "contract"):
@@ -98,3 +100,6 @@ def test_memo_tables_have_one_owner():
     assert not hasattr(MemoScope(Fraction(1, 2), True), "_products")
     assert not hasattr(QContext, "_degenerate_order")
     assert "path" not in inspect.signature(build).parameters
+    assert list(inspect.signature(scoped_memo).parameters) == ["fn"]
+    assert not hasattr(relations, "falling_mul_falling")
+    assert not hasattr(constructors, "falling_mul_falling")

@@ -19,6 +19,7 @@ from oracles import (
     weight_partial_sums,
 )
 from qcharlier import (
+    FALLING,
     LatticePoly,
     MultiIndex,
     QContext,
@@ -35,6 +36,7 @@ from qcharlier.qkernels import (
     dot,
     falling_factorial_poly,
     falling_mul_falling,
+    falling_recurrence,
     from_falling_basis,
     memo_scope,
     to_falling_basis,
@@ -377,6 +379,49 @@ def test_dot_edge_cases():
     xs, ys = [0.1, third], [3.0, 0.7]
     assert repr(dot(xs, ys, half, -1)) == repr(_plain_dot(xs, ys, half, -1))
     assert repr(dot([0.0], [-1.0], -0.0)) == repr(_plain_dot([0.0], [-1.0], -0.0, 1))
+
+
+def _chained_recurrence(p, terms, ctx):
+    """X p - sum a r as a chain of `scale` and `-`, the expression the
+    kernel replaces."""
+    out = falling_mul_falling(p, 1, ctx)
+    for a, r in terms:
+        out = out - r.scale(a)
+    return out
+
+
+def _falling_case(scalars):
+    # p, and terms whose polynomials are shorter or longer than X p
+    poly = st.lists(scalars, max_size=8).map(LatticePoly.falling)
+    return st.tuples(poly, st.lists(st.tuples(scalars, poly), max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_falling_case(EXACT))
+def test_falling_recurrence_equals_the_chained_expression_on_rationals(case):
+    p, terms = case
+    ctx = QContext.from_t("9/10", ["1/2"])
+    assert falling_recurrence(p, terms, ctx) == _chained_recurrence(p, terms, ctx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_falling_case(FLOATS))
+def test_falling_recurrence_runs_the_chained_expression_on_floats(case):
+    # bit for bit: each coefficient takes the subtractions of the chain in order
+    p, terms = case
+    ctx = QContext.from_q_float(0.81, [0.5])
+    got = falling_recurrence(p, terms, ctx)
+    assert repr(got.coeffs) == repr(_chained_recurrence(p, terms, ctx).coeffs)
+
+
+def test_falling_recurrence_edge_cases(ctx2):
+    p = LatticePoly.falling((Fraction(1, 3), 2))
+    assert falling_recurrence(p, [], ctx2) == falling_mul_falling(p, 1, ctx2)
+    longer = LatticePoly.falling((1, 0, 0, 0, Fraction(5, 7)))
+    got = falling_recurrence(p, [(Fraction(-2), longer), (Fraction(0), longer)], ctx2)
+    assert got.coeffs[3:] == (0, Fraction(10, 7))
+    assert got == _chained_recurrence(p, [(Fraction(-2), longer)], ctx2)
+    assert falling_recurrence(LatticePoly.zero(FALLING), [(1, p)], ctx2) == p.scale(-1)
 
 
 def test_one_memo_scope_alive(clear_caches):

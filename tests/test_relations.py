@@ -33,9 +33,9 @@ from qcharlier import (
     verify_raising,
     verify_stepline,
 )
-from qcharlier import cli, relations
+from qcharlier import cli, constructors, relations
 from qcharlier.latticefn import delta_cov
-from qcharlier.qkernels import memo_scope, to_falling_basis, x_of
+from qcharlier.qkernels import active_key, memo_scope, to_falling_basis, x_of
 from qcharlier.relations import stepline_valid
 
 #: contexts away from the fixed test point t = 9/10, on both sides of t = 1
@@ -152,10 +152,11 @@ def test_nn_component_range_checked(ctx2):
 
 
 def test_oracle_d_is_computed_once_per_context_and_index(ctx2, clear_caches, monkeypatch, capsys):
-    # d does not depend on the stepped component: read from the oracle it is
-    # computed once per (context, index) over a whole sweep, where every k
-    # and every step-line cell used to recompute it (240 runs for these 84
-    # pairs); with a builder it is computed on every call
+    # d does not depend on the stepped component, nor on the weights of zero
+    # components: read from the oracle it is computed once per active key
+    # over a whole sweep, 64 runs for these 84 (context, index) pairs, where
+    # keying by the pair took 84 and recomputing for every k and every
+    # step-line cell took 240; with a builder it is computed on every call
     clear_caches()
     runs = []
     compute = relations._nn_d
@@ -167,7 +168,7 @@ def test_oracle_d_is_computed_once_per_context_and_index(ctx2, clear_caches, mon
     monkeypatch.setattr(relations, "_nn_d", counting)
     assert cli.main(["verify", "--rmax", "3", "--nmax", "3", "--quiet"]) == 0
     capsys.readouterr()
-    assert len(runs) == len({(ctx, index) for ctx, index, _ in runs}) == 84
+    assert len(runs) == len({active_key(ctx, index) for ctx, index, _ in runs}) == 64
     assert {builder for _, _, builder in runs} == {None}
     oracle_d = nn_recurrence_coeffs((2, 1), 0, ctx2).d
     runs.clear()
@@ -178,6 +179,35 @@ def test_oracle_d_is_computed_once_per_context_and_index(ctx2, clear_caches, mon
     first, second = (nn_recurrence_coeffs((2, 1), k, ctx2, builder=builder) for k in range(2))
     assert first.d == second.d == oracle_d
     assert [(index.parts, b) for _, index, b in runs] == [((2, 1), builder)] * 2
+
+
+@pytest.mark.parametrize(
+    "t, alphas", [("1/2", ["1/2", "3/5", "7/3"]), ("4/3", ["1/3", "5/2", "9/7"]), ("7/5", ["2", "3/4", "5/9"])]
+)
+def test_recurrence_memos_are_shared_by_active_key(clear_caches, t, alphas):
+    # a zero component adds exactly 0 to b and carries d = 0, so the
+    # recurrence polynomial and the nn d of (n1, n2, 0) at (a, b, c) are
+    # those of (n1, n2) at (a, b): one memo entry serves both, and it holds
+    # what a cold build of either computes
+    wide, narrow = QContext.from_t(t, alphas), QContext.from_t(t, alphas[:2])
+    grid = list(itertools.product(range(3), repeat=2))
+
+    def read(ctx, parts):
+        d = nn_recurrence_coeffs(parts, 0, ctx).d
+        return constructors._recurrence_poly(ctx, MultiIndex(parts)), d[:2], d[2:]
+
+    cold = {}
+    for parts in grid:
+        clear_caches()
+        cold[parts] = read(narrow, parts)
+    clear_caches()
+    for parts in grid:
+        assert read(wide, parts + (0,)) == cold[parts][:2] + ((0,),), (t, parts)
+    memos = memo_scope(wide.q, wide.exact).memos
+    sizes = {name: len(table) for name, table in memos.items()}
+    for parts in grid:
+        assert read(narrow, parts) == cold[parts], (t, parts)
+    assert {name: len(table) for name, table in memos.items()} == sizes
 
 
 def test_nn_coeffs_permutation_equivariant(ctx2):
@@ -265,11 +295,11 @@ def test_closed_coefficients_read_no_polynomial(ctx2, ctx3, clear_caches, monkey
     clear_caches()
     monkeypatch.setattr(relations, "delta_cov", refuse)
     monkeypatch.setattr(relations, "moment_pairing", refuse)
-    monkeypatch.setattr(relations, "falling_mul_falling", refuse)
+    monkeypatch.setattr(relations, "falling_recurrence", refuse)
     betas = {parts: lowering_coeffs(parts, ctx3) for parts in [(2, 1, 1), (0, 2, 1)]}
     assert all(not table for table in memo_scope(ctx3.q, ctx3.exact).memos.values())
     monkeypatch.undo()
-    monkeypatch.setattr(relations, "falling_mul_falling", refuse)
+    monkeypatch.setattr(relations, "falling_recurrence", refuse)
     steps = {parts: stepline_coeffs(*parts, ctx2) for parts in [(1, 1), (2, 1), (0, 2)]}
     monkeypatch.undo()
     for parts, got in betas.items():
