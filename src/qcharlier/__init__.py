@@ -12,7 +12,7 @@ from .qkernels import (
 from .constructors import (
     QCharlierPoly,
     build,
-    build_explicit_r2,
+    build_explicit,
     build_linear_system,
     build_recurrence,
     build_rodrigues,
@@ -42,7 +42,7 @@ __all__ = [
     "ValidationError",
     "QCharlierPoly",
     "build",
-    "build_explicit_r2",
+    "build_explicit",
     "build_linear_system",
     "build_recurrence",
     "build_rodrigues",

@@ -181,11 +181,11 @@ def cmd_gen(args) -> int:
 
 def _defect_builder(spec: str):
     """Builder that perturbs one coefficient of one polynomial, selected as
-    "n1,n2,..:coeff_index[:amount]" (amount nonzero, default 1/10^6).  The
-    target index is corrupted wherever it is built, in every parameter
-    context a verifier touches; a negative control proving the checks are
-    not vacuous.  `built_target` records whether it was ever built: a run
-    that never built it corrupted nothing, and verify refuses it."""
+    "n1,n2,..:coeff_index[:amount]" (coeff_index nonnegative, amount nonzero,
+    default 1/10^6).  The target index is corrupted wherever it is built, in
+    every parameter context a verifier touches; a negative control proving
+    the checks are not vacuous.  `built_target` records whether it was ever
+    built: a run that never built it corrupted nothing, and verify refuses it."""
     loc, _, rest = spec.partition(":")
     target = tuple(int(p) for p in loc.split(","))
     coeff_str, _, amount_str = rest.partition(":")
@@ -193,14 +193,15 @@ def _defect_builder(spec: str):
     amount = parse_scalar(amount_str) if amount_str else Fraction(1, 10 ** 6)
     if amount == 0:
         raise ValueError(f"--inject-defect {spec}: an amount of 0 corrupts nothing")
+    if coeff_index < 0:
+        raise ValueError(f"--inject-defect {spec}: coefficient index {coeff_index} is negative")
 
     def builder(index, context):
         poly = build_linear_system(index, context).poly
         if index.parts == target:
             builder.built_target = True
             bumped = list(poly.coeffs)
-            while len(bumped) <= coeff_index:
-                bumped.append(context.zero())
+            bumped += [context.zero()] * (coeff_index + 1 - len(bumped))
             bumped[coeff_index] += amount
             poly = LatticePoly.monomial(bumped)
         return poly

@@ -181,6 +181,16 @@ class QContext:
         return Fraction(1) if self.exact else 1.0
 
 
+def _integers(values: Iterable[int], what: str) -> tuple:
+    """`values` as ints; an entry like 1.9 (or 2.0) is refused, not truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise ValueError(f"{what} {bad!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class MultiIndex:
     """Multi-index n = (n_1, ..., n_r) of nonnegative integers."""
@@ -188,13 +198,7 @@ class MultiIndex:
     parts: Tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(parts)
-        try:
-            parts = tuple(map(operator.index, parts))
-        except TypeError:
-            # a part like 1.9 (or 2.0) is refused, not truncated
-            bad = next(p for p in parts if not hasattr(p, "__index__"))
-            raise ValueError(f"multi-index part {bad!r} is not an integer") from None
+        parts = _integers(parts, "multi-index part")
         if any(p < 0 for p in parts):
             raise ValueError(f"multi-index parts must be nonnegative, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -234,7 +238,7 @@ class MultiIndex:
 
     def walk(self, path: Iterable[int]) -> list:
         """`path`, 0-based components in any order, checked to step from 0 here."""
-        path = [int(k) for k in path]
+        path = list(_integers(path, "path component"))
         for k in path:
             if not 0 <= k < len(self):
                 raise ValueError(f"path component {k} out of range for r = {len(self)}")

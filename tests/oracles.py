@@ -11,7 +11,7 @@ the difference equation, the classical difference identity, and a dense
 Gauss-Jordan solve of the orthogonality system.  Three are the slower
 second paths to what a package kernel computes more cheaply: the Gram entry
 by the expanded falling product, Horner's rule on scalars, and the explicit
-double sum term by term.  None of them is reached by a command, so they
+r-fold sum term by term.  None of them is reached by a command, so they
 live here rather than in the package.
 """
 
@@ -128,7 +128,7 @@ def weight_partial_sums(i, m, ctx):
 
 
 # ---------------------------------------------------------------------------
-# scalar Horner, and the explicit double sum term by term
+# scalar Horner, and the explicit r-fold sum term by term
 # ---------------------------------------------------------------------------
 
 def compose_affine_horner(p, u, v):
@@ -147,19 +147,21 @@ def compose_affine_horner(p, u, v):
     return LatticePoly(MONOMIAL, out)
 
 
-def explicit_r2_double_sum(n1, n2, ctx):
-    """The polynomial C_(n1, n2) by the double sum of `build_explicit_r2`,
-    each term recomputed from q-falling numbers and q-factorials."""
-    a1, a2 = ctx.alphas
-    prefactor = (-a1) ** n1 * (-a2) ** n2 * ctx.q ** (n1 * n1 + n1 * n2 + n2 * n2)
-    fall = [ctx.zero()] * (n1 + n2 + 1)
-    for k in range(n1 + 1):
-        for l in range(n2 + 1):
-            term = q_falling_number(n1, k, ctx) * q_falling_number(n2, l, ctx)
-            term /= q_factorial(k, ctx) * q_factorial(l, ctx)
-            term *= ctx.q ** (binom2(k) + binom2(l))
-            term *= (-1) ** (k + l) * (ctx.q ** n1 * a1) ** (-k) * (ctx.q ** n2 * a2) ** (-l)
-            fall[k + l] += term
+def explicit_sum(index, ctx):
+    """The polynomial C_index by the r-fold sum of `build_explicit`, each
+    term recomputed from q-falling numbers and q-factorials (no ratio step,
+    no convolution)."""
+    index = tuple(index)
+    prefactor = ctx.q ** sum(ni * sum(index[i:]) for i, ni in enumerate(index))
+    for n, a in zip(index, ctx.alphas):
+        prefactor *= (-a) ** n
+    fall = [ctx.zero()] * (sum(index) + 1)
+    for ks in itertools.product(*(range(n + 1) for n in index)):
+        term = ctx.one()
+        for k, n, a in zip(ks, index, ctx.alphas):
+            term *= q_falling_number(n, k, ctx) / q_factorial(k, ctx)
+            term *= ctx.q ** binom2(k) * (-1) ** k * (ctx.q ** n * a) ** (-k)
+        fall[sum(ks)] += term
     return from_falling_basis(LatticePoly.falling(fall), ctx).scale(prefactor)
 
 

@@ -19,7 +19,7 @@ from qcharlier import (
     LatticePoly,
     MultiIndex,
     QContext,
-    build_explicit_r2,
+    build_explicit,
     build_linear_system,
     build_recurrence,
     build_rodrigues,
@@ -64,11 +64,12 @@ def test_criterion_01_cross_method_agreement(actx2, actx3):
     for index in GRID2:
         reference = build_linear_system(index, actx2).poly
         ok &= build_rodrigues(index, actx2).poly == reference
-        ok &= build_explicit_r2(index[0], index[1], actx2).poly == reference
+        ok &= build_explicit(index, actx2).poly == reference
         ok &= build_recurrence(index, actx2).poly == reference
     for index in GRID3:
         reference = build_linear_system(index, actx3).poly
         ok &= build_rodrigues(index, actx3).poly == reference
+        ok &= build_explicit(index, actx3).poly == reference
         ok &= build_recurrence(index, actx3).poly == reference
     elapsed = time.perf_counter() - start
     ok &= elapsed < 30.0

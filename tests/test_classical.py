@@ -57,6 +57,12 @@ def test_path_components_out_of_range():
             classical_build((1, 1), A2, path=path)
 
 
+def test_path_components_must_be_integers():
+    # 0.7 and 1.2 would truncate to the valid path [0, 1]
+    with pytest.raises(ValueError, match="path component 0.7 is not an integer"):
+        classical_build((1, 1), A2, path=[0.7, 1.2])
+
+
 @pytest.mark.parametrize(
     "parts",
     [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1)],

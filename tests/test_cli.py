@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -40,16 +41,16 @@ def test_gen_deterministic_bytes(capsys):
 
 
 def test_gen_methods_agree_byte_for_byte(capsys):
-    outputs = []
-    for method in ("system", "rodrigues", "explicit", "recurrence"):
-        code, out, _ = run_cli(
-            capsys,
-            "gen", "--t", "9/10", "--alpha", "1/2", "--alpha", "3/5",
-            "--n", "2,1", "--method", method,
-        )
-        assert code == 0
-        outputs.append(json.loads(out)["coefficients"])
-    assert all(coeffs == outputs[0] for coeffs in outputs)
+    # every route serves every r, the explicit one included
+    for n, basis in itertools.product(("3", "2,1", "2,1,1"), ("monomial", "falling")):
+        outputs = []
+        for method in ("system", "rodrigues", "explicit", "recurrence"):
+            code, out, _ = run_cli(
+                capsys, "gen", "--t", "9/10", "--n", n, "--method", method, "--basis", basis
+            )
+            assert code == 0, (n, basis, method)
+            outputs.append(out.replace(f'"method": "{method}"', '"method": ""'))
+        assert all(out == outputs[0] for out in outputs), (n, basis)
 
 
 def test_gen_falling_basis(capsys):
@@ -177,6 +178,14 @@ def test_verify_refuses_a_defect_that_corrupts_nothing(capsys, spec, reason):
     assert code == 2
     assert out == ""
     assert err == f"error: --inject-defect {spec}: {reason}\n"
+
+
+def test_verify_refuses_a_negative_coefficient_index(capsys):
+    # -1 would pick the leading coefficient by Python's negative indexing
+    code, out, err = run_cli(capsys, "verify", "--nmax", "1", "--inject-defect", "1,1:-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --inject-defect 1,1:-1: coefficient index -1 is negative\n"
 
 
 def test_verify_rejects_bad_rmax(capsys):

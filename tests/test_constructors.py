@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     expanded_pairing,
-    explicit_r2_double_sum,
+    explicit_sum,
     normalized_moment,
     q_falling_number,
     weight_masses,
@@ -20,7 +20,7 @@ from oracles import (
 from qcharlier import (
     QContext,
     build,
-    build_explicit_r2,
+    build_explicit,
     build_linear_system,
     build_recurrence,
     build_rodrigues,
@@ -59,16 +59,23 @@ def test_zero_index_is_one(ctx2):
         assert build((0, 0), ctx2, method=method).poly.coeffs == (1,)
 
 
-def test_explicit_requires_r2(ctx3):
-    with pytest.raises(ValueError):
-        build_explicit_r2(1, 1, ctx3)
+ALPHAS4 = ["1/2", "3/5", "7/10", "4/5"]
+
+
+@pytest.mark.parametrize("t", ["9/10", "4/3", "1/2", "7/5"])
+def test_explicit_builds_every_r(t):
+    grids = {1: range(7), 3: range(5), 4: range(3)}  # n_i <= 6, 4 and 2
+    for r, grid in grids.items():
+        ctx = QContext.from_t(t, ALPHAS4[:r])
+        for parts in itertools.product(grid, repeat=r):
+            assert build_explicit(parts, ctx).poly == build_linear_system(parts, ctx).poly, parts
 
 
 def test_cross_method_agreement_r2(ctx2):
     for parts in itertools.product(range(4), repeat=2):
         reference = build_linear_system(parts, ctx2).poly
         assert build_rodrigues(parts, ctx2).poly == reference
-        assert build_explicit_r2(parts[0], parts[1], ctx2).poly == reference
+        assert build_explicit(parts, ctx2).poly == reference
         assert build_recurrence(parts, ctx2).poly == reference
 
 
@@ -76,6 +83,7 @@ def test_cross_method_agreement_r3(ctx3):
     for parts in itertools.product(range(3), repeat=3):
         reference = build_linear_system(parts, ctx3).poly
         assert build_rodrigues(parts, ctx3).poly == reference
+        assert build_explicit(parts, ctx3).poly == reference
         assert build_recurrence(parts, ctx3).poly == reference
 
 
@@ -128,6 +136,12 @@ def test_recurrence_path_validation(ctx2):
         build_recurrence((1, 1), ctx2, path=[0, 2])
 
 
+def test_recurrence_path_refuses_non_integer_entries(ctx2):
+    # a path entry is refused, not truncated to the component it would name
+    with pytest.raises(ValueError, match="path component 1.9 is not an integer"):
+        build_recurrence((1, 1), ctx2, path=[0, 1.9])
+
+
 def test_index_arity_checked(ctx2):
     with pytest.raises(ValueError):
         build_linear_system((1, 1, 1), ctx2)
@@ -168,11 +182,12 @@ def test_moment_pairing_by_series(ctx2):
 
 
 @pytest.mark.parametrize("t", ["9/10", "4/3"])
-@pytest.mark.parametrize("parts", [(7, 5), (0, 6), (6, 0)])
+@pytest.mark.parametrize("parts", [(7, 5), (0, 6), (6, 0), (5,), (2, 1, 3), (2, 0, 1, 2)])
 def test_explicit_convolution_matches_double_sum(t, parts):
-    ctx = QContext.from_t(t, ["1/2", "3/5"])
-    poly = build_explicit_r2(*parts, ctx).poly
-    assert poly == explicit_r2_double_sum(*parts, ctx)
+    # the r-fold sum term by term; at r = 2 it is the double sum
+    ctx = QContext.from_t(t, ALPHAS4[:len(parts)])
+    poly = build_explicit(parts, ctx).poly
+    assert poly == explicit_sum(parts, ctx)
     assert poly == build_linear_system(parts, ctx).poly
 
 

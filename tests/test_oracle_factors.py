@@ -79,11 +79,10 @@ def test_degenerate_guard_fires_exactly_where_the_system_is_singular(t):
             ((Fraction(1, 7), alpha), list(itertools.product(range(4), repeat=2))),
         ):
             ctx = QContext.from_t(t, alphas)
-            methods = METHODS if ctx.r == 2 else [x for x in METHODS if x != "explicit_r2"]
             for parts in grid:
                 singular = m >= 1 and parts[-1] > m
                 assert (_outcome(dense_oracle, parts, ctx) is None) == singular, (t, m, parts)
-                for method in methods:
+                for method in METHODS:
                     try:
                         build(parts, ctx, method=method)
                         refused = None

@@ -75,4 +75,4 @@ def test_r2_routes_agree_and_identities_hold(t, alphas):
 @example(Fraction(5, 7), [Fraction(1, 3), Fraction(4, 5), Fraction(2, 1)])
 @example(Fraction(3, 2), [Fraction(1, 4), Fraction(6, 5), Fraction(7, 3)])
 def test_r3_routes_agree_and_identities_hold(t, alphas):
-    assert len(check_sweep(t, alphas, ("rodrigues", "recurrence"))) == 5
+    assert len(check_sweep(t, alphas, ("rodrigues", "recurrence", "explicit_r2"))) == 5

@@ -23,7 +23,7 @@ PUBLIC = [
     "ValidationError",
     "QCharlierPoly",
     "build",
-    "build_explicit_r2",
+    "build_explicit",
     "build_linear_system",
     "build_recurrence",
     "build_rodrigues",
