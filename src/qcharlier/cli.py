@@ -221,6 +221,8 @@ def cmd_verify(args) -> int:
     for r in range(1, args.rmax + 1):
         ctx = _make_context(args, base_alphas[:r])
         checks += _run_checks(args.suite, ctx, args.nmax, builder)
+    if not checks:
+        raise ValueError(f"--suite {args.suite} runs no check at rmax = {args.rmax}")
     if builder and not builder.built_target:
         raise ValueError(f"--inject-defect {args.inject_defect}: no check built its target")
     failed = any(entry["status"] != "pass" for entry in checks)
@@ -361,25 +363,20 @@ def cmd_limit(args) -> int:
         coeff_err = max(
             abs(a - b) for a, b in itertools.zip_longest(coeffs, classical_coeffs, fillvalue=0.0)
         )
-        b_errors = []
-        d_errors = []
-        for k in range(r):
-            got = relations.nn_recurrence_coeffs(index, k, ctx)
-            b_classical = float(alphas_exact[k]) + index.weight
-            b_errors.append(abs(got.b - b_classical))
-            for i in range(r):
-                d_classical = float(alphas_exact[i]) * index[i]
-                d_errors.append(abs(got.d[i] - d_classical))
+        steps = [relations.nn_recurrence_coeffs(index, k, ctx) for k in range(r)]
+        b_err = max(abs(got.b - (float(a) + index.weight)) for got, a in zip(steps, alphas_exact))
+        # the d_i do not depend on the stepped component k
+        d_err = max(abs(d - float(a) * ni) for d, a, ni in zip(steps[0].d, alphas_exact, index))
         entries.append(
             {
                 "m": m,
                 "q": format_scalar(q),
                 "coeff_error": format_scalar(coeff_err),
-                "b_error_max": format_scalar(max(b_errors)),
-                "d_error_max": format_scalar(max(d_errors)),
+                "b_error_max": format_scalar(b_err),
+                "d_error_max": format_scalar(d_err),
             }
         )
-        coeff_errors.append((coeff_err, max(b_errors), max(d_errors)))
+        coeff_errors.append((coeff_err, b_err, d_err))
 
     orders = []
     for (e0, b0, d0), (e1, b1, d1) in zip(coeff_errors, coeff_errors[1:]):

@@ -96,8 +96,8 @@ def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
 def build_linear_system(index, ctx: QContext, basis: str = MONOMIAL) -> QCharlierPoly:
     """The oracle.  With basis=FALLING the polynomial is the solution as
     the system gives it, in the falling basis, with no basis change."""
-    index = MultiIndex.coerce(index)
-    _check_index(index, ctx)
+    index = check_index(index, ctx)
+    ctx.require_nondegenerate(index)
     poly = _linear_system_poly(ctx, index)[basis]
     return QCharlierPoly(ctx, index, poly, "linear_system")
 
@@ -109,16 +109,14 @@ def _linear_system_poly(ctx: QContext, index: MultiIndex) -> dict:
     share its solution."""
     n = index.weight
     if n == 0:
-        return {FALLING: LatticePoly.one(FALLING), MONOMIAL: LatticePoly.one()}
+        return {basis: LatticePoly(basis, (ctx.one(),)) for basis in (FALLING, MONOMIAL)}
     scope = memo_scope(ctx.q, ctx.exact)
     lead = ctx.q ** binom2(n)
     grams = [scope.gram(a) for a in ctx.alphas]
     rhs = [-lead * grams[i](n, k) for i, k in _rows(index)]
     solution = _lu_solve(_factors(ctx, index), rhs)
     fall = LatticePoly.falling(tuple(solution) + (lead,))
-    poly = from_falling_basis(fall, ctx)
-    if ctx.exact and (poly.degree != n or poly.leading != 1):
-        raise ConstructionError(f"solution for {index.parts} is not monic of degree {n}")
+    poly = _monic(from_falling_basis(fall, ctx), index, ctx, "linear_system")
     return {FALLING: fall, MONOMIAL: poly}
 
 
@@ -145,8 +143,8 @@ def _factors(ctx: QContext, index: MultiIndex):
     Entries are keyed by `active_key`, which fixes the matrix, so an index
     shares its factors with every index and context of the same key.  A
     zero pivot means a singular leading block.  The ratio guard and the
-    degenerate guard (`_check_index`, before construction) rule out the
-    known causes; a zero pivot that still occurs raises ConstructionError
+    degenerate guard (`require_nondegenerate`, before construction) rule out
+    the known causes; a zero pivot that still occurs raises ConstructionError
     naming the multi-index and the row (i, k), i from 1.
     """
     scope = memo_scope(ctx.q, ctx.exact)
@@ -198,7 +196,7 @@ def _lu_solve(factors, b):
 def rodrigues_constant(index, ctx: QContext) -> Scalar:
     """Closed-form normalizing constant
     (-1)^|n| q^(-|n|/2) prod_i alpha_i^(n_i) prod_i q^(n_i * (n_i+...+n_r))."""
-    index = MultiIndex.coerce(index)
+    index = check_index(index, ctx)
     n = index.weight
     value = (-1) ** n * ctx.t ** (-n)
     for i, ni in enumerate(index):
@@ -208,8 +206,8 @@ def rodrigues_constant(index, ctx: QContext) -> Scalar:
 
 
 def build_rodrigues(index, ctx: QContext) -> QCharlierPoly:
-    index = MultiIndex.coerce(index)
-    _check_index(index, ctx)
+    index = check_index(index, ctx)
+    ctx.require_nondegenerate(index)
     fn = WeightedLatticeFn(ctx.one(), LatticePoly.one())
     for i, ni in enumerate(index):
         fn = rodrigues_elementary(fn, ctx.alphas[i], ni, ctx)
@@ -217,9 +215,7 @@ def build_rodrigues(index, ctx: QContext) -> QCharlierPoly:
         raise ConstructionError(f"pipeline base drifted to {fn.base}")
     # multiplying by Gamma_q(s+1) clears the factorial denominator
     poly = fn.poly.scale(rodrigues_constant(index, ctx))
-    if ctx.exact and (poly.degree != index.weight or poly.leading != 1):
-        raise ConstructionError(f"pipeline result for {index.parts} is not monic")
-    return QCharlierPoly(ctx, index, poly, "rodrigues")
+    return QCharlierPoly(ctx, index, _monic(poly, index, ctx, "rodrigues"), "rodrigues")
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +234,8 @@ def build_explicit(index, ctx: QContext) -> QCharlierPoly:
     prefactor is a running product from i = 1 times q^D last, which keeps the
     float digits of the r = 2 double sum; half-integer powers cancel.
     """
-    index = MultiIndex.coerce(index)
-    _check_index(index, ctx)
+    index = check_index(index, ctx)
+    ctx.require_nondegenerate(index)
     scope = memo_scope(ctx.q, ctx.exact)
 
     def terms(n, a):
@@ -255,9 +251,7 @@ def build_explicit(index, ctx: QContext) -> QCharlierPoly:
         fall, prefactor = fall * terms(n, a), prefactor * (-a) ** n
     prefactor *= ctx.q ** ((index.weight ** 2 + sum(n * n for n in index)) // 2)
     poly = from_falling_basis(LatticePoly.falling(fall.coeffs), ctx).scale(prefactor)
-    if ctx.exact and (poly.degree != index.weight or poly.leading != 1):
-        raise ConstructionError(f"explicit sum for {index.parts} is not monic")
-    return QCharlierPoly(ctx, index, poly, "explicit_r2")
+    return QCharlierPoly(ctx, index, _monic(poly, index, ctx, "explicit_r2"), "explicit_r2")
 
 
 # the benchmark's span is named after the r = 2 route and traces this object
@@ -277,8 +271,8 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
     this route stays independent of the oracle.  The result is
     path-independent, exactly.
     """
-    index = MultiIndex.coerce(index)
-    _check_index(index, ctx)
+    index = check_index(index, ctx)
+    ctx.require_nondegenerate(index)
     if path is None:
         poly = _recurrence_poly(ctx, index)
     else:
@@ -286,7 +280,8 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
         for k in index.walk(path):
             poly = _recurrence_step(ctx, current, k, poly)
             current = current.up(k)
-    return QCharlierPoly(ctx, index, from_falling_basis(poly, ctx), "recurrence")
+    poly = from_falling_basis(poly, ctx)
+    return QCharlierPoly(ctx, index, _monic(poly, index, ctx, "recurrence"), "recurrence")
 
 
 @scoped_memo
@@ -325,9 +320,24 @@ def build(index, ctx: QContext, method: str = "linear_system") -> QCharlierPoly:
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _check_index(index: MultiIndex, ctx: QContext) -> None:
+def check_index(index, ctx: QContext, *components: int) -> MultiIndex:
+    """`index` as a MultiIndex with one part per weight parameter of ctx,
+    each of `components` (0-based) naming one of those parts."""
+    index = MultiIndex.coerce(index)
     if len(index) != ctx.r:
         raise ValueError(
             f"multi-index has {len(index)} components but the context has r = {ctx.r}"
         )
-    ctx.require_nondegenerate(index)
+    for k in components:
+        if not 0 <= k < ctx.r:
+            raise ValueError(f"component {k} out of range for r = {ctx.r}")
+    return index
+
+
+def _monic(poly: LatticePoly, index: MultiIndex, ctx: QContext, method: str) -> LatticePoly:
+    """poly, checked to be monic of degree |n| on exact contexts."""
+    if ctx.exact and (poly.degree != index.weight or poly.leading != 1):
+        raise ConstructionError(
+            f"{method} result for {index.parts} is not monic of degree {index.weight}"
+        )
+    return poly

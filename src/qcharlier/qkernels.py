@@ -165,9 +165,7 @@ class QContext:
         """New validated context with the i-th weight parameter replaced."""
         alphas = list(self.alphas)
         alphas[i] = value
-        ctx = QContext(t=self.t, q=self.q, alphas=tuple(alphas), exact=self.exact)
-        ctx.validate()
-        return ctx
+        return self.with_all_alphas(alphas)
 
     def with_all_alphas(self, alphas: Iterable[Scalar]) -> "QContext":
         ctx = QContext(t=self.t, q=self.q, alphas=tuple(alphas), exact=self.exact)
@@ -255,30 +253,24 @@ class MultiIndex:
         return cls(tuple(value))
 
 
-_RATIONAL = (int, Fraction)
-
-
 def dot(xs: Iterable[Scalar], ys: Iterable[Scalar], start: Scalar, sign: int = 1) -> Scalar:
     """start + sign * sum(x * y for x, y in zip(xs, ys)), sign 1 or -1.
 
-    With a rational start and rational terms, the integer numerators of the
-    products are summed over the lcm of their denominators and the result
-    is normalized once, where adding term by term would normalize once per
-    term.  A float start takes the plain loop, term by term in order, so
-    float digits are those of that loop; float terms under a rational start
-    take it too.
+    The type of `start` decides the backend, once per sum.  A float start
+    takes the plain loop, term by term in order, so float digits are those
+    of that loop.  Any other start is rational, and so are its terms: their
+    integer numerators are summed over the lcm of their denominators and the
+    result is normalized once, where adding term by term would normalize
+    once per term.
     """
-    pairs = zip(xs, ys)
     if not isinstance(start, float):
-        pairs = list(pairs)
-        if all(isinstance(x, _RATIONAL) and isinstance(y, _RATIONAL) for x, y in pairs):
-            return _rational_dot(pairs, start, sign)
+        return _rational_dot(zip(xs, ys), start, sign)
     acc = start
     if sign > 0:
-        for x, y in pairs:
+        for x, y in zip(xs, ys):
             acc += x * y
     else:
-        for x, y in pairs:
+        for x, y in zip(xs, ys):
             acc -= x * y
     return acc
 
@@ -356,21 +348,13 @@ class LatticePoly:
         if self.basis != other.basis:
             raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
 
-    def __add__(self, other: "LatticePoly") -> "LatticePoly":
+    def _combine(self, op, other: "LatticePoly") -> "LatticePoly":
         self._check_same(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return LatticePoly(
-            self.basis,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
+        return LatticePoly(self.basis, [op(self.coefficient(i), other.coefficient(i)) for i in range(n)])
 
-    def __sub__(self, other: "LatticePoly") -> "LatticePoly":
-        self._check_same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return LatticePoly(
-            self.basis,
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)],
-        )
+    __add__ = functools.partialmethod(_combine, operator.add)
+    __sub__ = functools.partialmethod(_combine, operator.sub)
 
     def scale(self, c: Scalar) -> "LatticePoly":
         return LatticePoly(self.basis, [c * v for v in self.coeffs])
@@ -476,43 +460,26 @@ def falling_factorial_poly(k: int, ctx: QContext) -> LatticePoly:
     return memo_scope(ctx.q, ctx.exact).falling_poly(k)
 
 
-def _falling_factor(p: LatticePoly, j: int, scope: "MemoScope") -> LatticePoly:
-    """p * (X - x(j))/q^j for a falling-basis p, through the exact rewrite
-    X*[s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m)."""
+def falling_mul_falling(p: LatticePoly, ctx: QContext) -> LatticePoly:
+    """X p for a falling-basis p, staying in the basis, through the exact
+    rewrite X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m): O(deg)."""
+    if p.basis != FALLING:
+        raise ValueError("falling_mul_falling expects the falling basis")
+    scope = memo_scope(ctx.q, ctx.exact)
     out = [scope.zero] * (len(p.coeffs) + 1)
     for m, c in enumerate(p.coeffs):
         out[m + 1] += c * scope.qpow(m)
         out[m] += c * scope.x(m)
-    if j:  # the factor of j = 0 is X itself: x(0) = 0 and q^0 = 1
-        x_j, step = scope.x(j), scope.qpow(-j)
-        for m, c in enumerate(p.coeffs):
-            out[m] = step * (out[m] - x_j * c)
-        out[-1] = step * out[-1]
     return LatticePoly.falling(out)
-
-
-def falling_mul_falling(p: LatticePoly, k: int, ctx: QContext) -> LatticePoly:
-    """Product of a falling-basis polynomial with [s]^(k), staying in basis.
-
-    Multiplies by the factors (X - x(j))/q^j of [s]^(k) one at a time, which
-    keeps the expansion quadratic in the degree.
-    """
-    if p.basis != FALLING:
-        raise ValueError("falling_mul_falling expects the falling basis")
-    scope = memo_scope(ctx.q, ctx.exact)
-    out = p
-    for j in range(k):
-        out = _falling_factor(out, j, scope)
-    return out
 
 
 def falling_recurrence(p: LatticePoly, terms, ctx: QContext) -> LatticePoly:
     """X p - sum a r over the (a, r) in `terms` with a != 0, all in the
-    falling basis: X p by `falling_mul_falling(p, 1, ctx)`, then one sum
-    (`dot`) per coefficient over the terms that reach it, in the order
-    given, so float digits are those of the chain X p - a_1 r_1 - ...
+    falling basis: X p by `falling_mul_falling`, then one sum (`dot`) per
+    coefficient over the terms that reach it, in the order given, so float
+    digits are those of the chain X p - a_1 r_1 - ...
     """
-    top = falling_mul_falling(p, 1, ctx).coeffs
+    top = falling_mul_falling(p, ctx).coeffs
     terms = [(a, r.coeffs) for a, r in terms if a != 0]
     out = []
     for j in range(max([len(top)] + [len(r) for _, r in terms])):
@@ -546,7 +513,8 @@ class MemoScope:
         self.one = Fraction(1) if exact else 1.0
         self._qpow = {}
         self._x = {}
-        self._falling = [LatticePoly.one()]
+        # [s]^(0) in the scope's scalars: a sum over a float table has a float start
+        self._falling = [LatticePoly.monomial((self.one,))]
         self._weights = {}
         self.memos = {}
 

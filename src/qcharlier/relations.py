@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .constructors import build_linear_system, moment_pairing
+from .constructors import build_linear_system, check_index, moment_pairing
 from .latticefn import delta_cov, raising_apply
 from .qkernels import (
     FALLING,
@@ -98,9 +98,7 @@ def nn_recurrence_coeffs(
     read from the oracle, they are kept once per `active_key` in the memo
     scope; a builder's are computed on every call.
     """
-    index = MultiIndex.coerce(index)
-    if not 0 <= k < ctx.r:
-        raise ValueError(f"component {k} out of range for r = {ctx.r}")
+    index = check_index(index, ctx, k)
     b = _nn_b_closed_form(index, k, ctx)
     active = iter(_oracle_nn_d(ctx, index) if builder is None else _nn_d(index, ctx, builder))
     d = tuple(next(active) if ni else ctx.zero() for ni in index.parts)
@@ -160,7 +158,7 @@ def verify_raising(
 
     the target polynomial living in the context with alpha_i divided by q.
     A modified context that fails validation raises ValidationError."""
-    index = MultiIndex.coerce(index)
+    index = check_index(index, ctx, i)
     build = _falling(builder)
     lifted = raising_apply(build(index, ctx), ctx.alphas[i], index.weight, ctx)
     shifted_ctx = ctx.with_alpha(i, ctx.alphas[i] / ctx.q)
@@ -190,7 +188,7 @@ def lowering_coeffs(index, ctx: QContext):
     The product is 1 for r = 1 or one active component, and as q -> 1,
     where beta_i -> n_i.
     """
-    index = MultiIndex.coerce(index)
+    index = check_index(index, ctx)
     betas = []
     for i, ni in enumerate(index):
         top = ctx.alphas[i] * ctx.q ** ni
@@ -204,7 +202,7 @@ def lowering_coeffs(index, ctx: QContext):
 
 def verify_lowering(index, ctx: QContext, builder: Optional[Builder] = None) -> LatticePoly:
     """Residual Delta C_n - sum_i beta_i C_{n-e_i}^(q a) (zero expected)."""
-    index = MultiIndex.coerce(index)
+    index = check_index(index, ctx)
     build = _falling(builder)
     scaled = ctx.with_all_alphas(a * ctx.q for a in ctx.alphas)
     residual = delta_cov(build(index, ctx), ctx)
@@ -231,7 +229,7 @@ def diff_eq_residual(index, ctx: QContext, builder: Optional[Builder] = None) ->
     index n; for r = 1 the identity collapses to the single-weight
     second-order equation with coefficient q^(|n| - n_1 + 1) [n_1]_q.
     """
-    index = MultiIndex.coerce(index)
+    index = check_index(index, ctx)
     build = _falling(builder)
     power = index.weight - 1
     lifted = delta_cov(build(index, ctx), ctx)
@@ -341,7 +339,7 @@ def orthogonality_residuals(index, ctx: QContext, builder: Optional[Builder] = N
     Returns (defining, boundary): `defining[(i, k)]` for k < n_i must vanish;
     `boundary[i]` = Lambda_i(C * [s]^(n_i)) must be nonzero (that
     nonvanishing is what makes every multi-index here normal)."""
-    index = MultiIndex.coerce(index)
+    index = check_index(index, ctx)
     build = _falling(builder)
     poly = build(index, ctx)
     defining = {}

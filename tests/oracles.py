@@ -321,7 +321,7 @@ def stepline_coeffs_by_peel(n1, n2, ctx):
 
     here = p(n1, n2)
     b = _nn_b_closed_form(MultiIndex((n1, n2)), 1, ctx)
-    rest = falling_mul_falling(here, 1, ctx) - p(n1, n2 + 1).scale(ctx.q ** N) - here.scale(b)
+    rest = falling_mul_falling(here, ctx) - p(n1, n2 + 1).scale(ctx.q ** N) - here.scale(b)
     c = rest.coefficient(N - 1) if n2 >= 1 else ctx.zero()
     d = ctx.zero()
     if n1 >= 1 and n2 >= 1:
@@ -392,10 +392,19 @@ def classical_diffeq_residual(index, alphas):
 # dense reference for the linear-system oracle
 # ---------------------------------------------------------------------------
 
+def falling_product(fall, k, ctx):
+    """p [s]^(k) for a falling-basis p, in the falling basis: the factors
+    (X - x(j))/q^j of [s]^(k) taken one at a time, X p by the exact rewrite
+    of `falling_mul_falling`."""
+    for j in range(k):
+        fall = (falling_mul_falling(fall, ctx) - fall.scale(x_of(j, ctx))).scale(ctx.q ** -j)
+    return fall
+
+
 def expanded_pairing(fall, k, i, ctx):
     """Lambda_i(p [s]^(k)) for a falling-basis p: the product expanded by
-    `falling_mul_falling`, each [s]^(m) mapped to `normalized_moment`."""
-    product = falling_mul_falling(fall, k, ctx).coeffs
+    `falling_product`, each [s]^(m) mapped to `normalized_moment`."""
+    product = falling_product(fall, k, ctx).coeffs
     return sum((c * normalized_moment(i, m, ctx) for m, c in enumerate(product)), Fraction(0))
 
 

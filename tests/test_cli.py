@@ -188,6 +188,14 @@ def test_verify_refuses_a_negative_coefficient_index(capsys):
     assert err == "error: --inject-defect 1,1:-1: coefficient index -1 is negative\n"
 
 
+def test_verify_refuses_a_run_that_checks_nothing(capsys):
+    # step-line needs r = 2, so at rmax = 1 the suite has no check to run
+    code, out, err = run_cli(capsys, "verify", "--suite", "stepline", "--rmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --suite stepline runs no check at rmax = 1\n"
+
+
 def test_verify_rejects_bad_rmax(capsys):
     code, _, err = run_cli(capsys, "verify", "--rmax", "5")
     assert code == 2

@@ -24,10 +24,11 @@ from qcharlier import (
     build_linear_system,
     build_recurrence,
     build_rodrigues,
+    constructors,
     rodrigues_constant,
 )
 from qcharlier.cli import _exact_shadow
-from qcharlier.constructors import moment_pairing
+from qcharlier.constructors import METHODS, ConstructionError, moment_pairing
 from qcharlier.qkernels import (
     FALLING,
     MONOMIAL,
@@ -92,6 +93,33 @@ def test_monic_of_exact_degree(ctx3):
         poly = build_linear_system(parts, ctx3).poly
         assert poly.degree == sum(parts)
         assert poly.leading == 1
+
+
+@pytest.mark.parametrize("method, name, double", [
+    ("linear_system", "from_falling_basis", lambda p: p.scale(2)),
+    ("rodrigues", "rodrigues_constant", lambda c: 2 * c),
+    ("explicit_r2", "from_falling_basis", lambda p: p.scale(2)),
+    ("recurrence", "from_falling_basis", lambda p: p.scale(2)),
+])
+def test_every_route_refuses_a_result_that_is_not_monic(
+    clear_caches, monkeypatch, ctx2, method, name, double
+):
+    # each route's result comes out doubled; all four raise the same error
+    clear_caches()
+    real = getattr(constructors, name)
+    monkeypatch.setattr(constructors, name, lambda *args: double(real(*args)))
+    with pytest.raises(ConstructionError) as info:
+        build((1, 1), ctx2, method)
+    assert str(info.value) == f"{method} result for (1, 1) is not monic of degree 2"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_float_contexts_build_float_polynomials(method):
+    # `qkernels.dot` takes a sum's backend from the type of its start, so a
+    # float polynomial must hold no `Fraction`, the zero index's 1 included
+    ctx = QContext.from_q_float(0.81, [0.5, 0.6])
+    for parts in [(0, 0), (1, 0), (2, 1)]:
+        assert all(type(c) is float for c in build(parts, ctx, method).poly.coeffs), parts
 
 
 def test_leading_falling_coefficient(ctx2, q2):

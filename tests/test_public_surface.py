@@ -9,7 +9,7 @@ import pkgutil
 from fractions import Fraction
 
 import qcharlier
-from qcharlier import QContext, build, constructors, relations
+from qcharlier import QContext, build, constructors, qkernels, relations
 from qcharlier.constructors import QCharlierPoly
 from qcharlier.latticefn import WeightedLatticeFn
 from qcharlier.qkernels import MemoScope, scoped_memo
@@ -103,3 +103,12 @@ def test_memo_tables_have_one_owner():
     assert list(inspect.signature(scoped_memo).parameters) == ["fn"]
     assert not hasattr(relations, "falling_mul_falling")
     assert not hasattr(constructors, "falling_mul_falling")
+
+
+def test_kernels_keep_one_copy_of_each_job():
+    # X p is the package's only falling product (the product by [s]^(k) is
+    # `falling_product` in tests/oracles.py), and `dot` reads its backend
+    # off the type of its start, with no per-term type probe
+    assert not hasattr(qkernels, "_falling_factor")
+    assert not hasattr(qkernels, "_RATIONAL")
+    assert list(inspect.signature(qkernels.falling_mul_falling).parameters) == ["p", "ctx"]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     compose_affine_horner,
+    falling_product,
     gram_by_expansion,
     q_binomial,
     q_factorial,
@@ -260,18 +261,24 @@ def test_basis_round_trip(coeffs):
 def test_falling_product_matches_monomial_product(coeffs, k):
     ctx = QContext.from_t("9/10", ["1/2"])
     poly = LatticePoly.monomial(coeffs)
-    via_falling = from_falling_basis(
-        falling_mul_falling(to_falling_basis(poly, ctx), k, ctx), ctx
-    )
+    via_falling = from_falling_basis(falling_product(to_falling_basis(poly, ctx), k, ctx), ctx)
     direct = poly * falling_factorial_poly(k, ctx)
     assert via_falling == direct
+
+
+def test_float_scope_falling_polynomials_hold_floats():
+    # `dot` takes its backend from the type of its start, so a sum over a
+    # float scope's table must meet floats only, [s]^(0) included
+    ctx = QContext.from_q_float(0.81, [0.5])
+    for k in range(6):
+        assert all(type(c) is float for c in falling_factorial_poly(k, ctx).coeffs), k
 
 
 def test_falling_mul_x_rewrite(ctx2, q2):
     # X * [s]^(j) = q^j [s]^(j+1) + x(j) [s]^(j); [s]^(1) = X since x(0) = 0
     for j in range(5):
         unit = LatticePoly.falling((0,) * j + (1,))
-        shifted = falling_mul_falling(unit, 1, ctx2)
+        shifted = falling_mul_falling(unit, ctx2)
         expected = from_falling_basis(unit, ctx2).times_x()
         assert from_falling_basis(shifted, ctx2) == expected
 
@@ -375,16 +382,13 @@ def test_dot_edge_cases():
     # denominators that share factors, and a result that reduces to an integer
     xs, ys = [Fraction(1, 6), Fraction(1, 10), Fraction(1, 15)], [Fraction(1, 4), 3, 5]
     assert dot(xs, ys, Fraction(13, 40)) == 1
-    # float terms under a rational start take the plain loop too
-    xs, ys = [0.1, third], [3.0, 0.7]
-    assert repr(dot(xs, ys, half, -1)) == repr(_plain_dot(xs, ys, half, -1))
     assert repr(dot([0.0], [-1.0], -0.0)) == repr(_plain_dot([0.0], [-1.0], -0.0, 1))
 
 
 def _chained_recurrence(p, terms, ctx):
     """X p - sum a r as a chain of `scale` and `-`, the expression the
     kernel replaces."""
-    out = falling_mul_falling(p, 1, ctx)
+    out = falling_mul_falling(p, ctx)
     for a, r in terms:
         out = out - r.scale(a)
     return out
@@ -416,7 +420,7 @@ def test_falling_recurrence_runs_the_chained_expression_on_floats(case):
 
 def test_falling_recurrence_edge_cases(ctx2):
     p = LatticePoly.falling((Fraction(1, 3), 2))
-    assert falling_recurrence(p, [], ctx2) == falling_mul_falling(p, 1, ctx2)
+    assert falling_recurrence(p, [], ctx2) == falling_mul_falling(p, ctx2)
     longer = LatticePoly.falling((1, 0, 0, 0, Fraction(5, 7)))
     got = falling_recurrence(p, [(Fraction(-2), longer), (Fraction(0), longer)], ctx2)
     assert got.coeffs[3:] == (0, Fraction(10, 7))

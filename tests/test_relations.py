@@ -2,6 +2,7 @@
 negative controls that keep the verifiers honest."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from qcharlier import (
     lowering_coeffs,
     nn_recurrence_coeffs,
     orthogonality_residuals,
+    rodrigues_constant,
     stepline_coeffs,
     verify_lowering,
     verify_nn_recurrence,
@@ -149,6 +151,26 @@ def test_nn_d_moment_ratios_match_closed_form(ctx3):
 def test_nn_component_range_checked(ctx2):
     with pytest.raises(ValueError):
         nn_recurrence_coeffs((1, 1), 2, ctx2)
+
+
+def test_index_length_and_component_are_checked(ctx2):
+    # each would index past the context's weights, or count a component
+    # from the end, without the guard
+    one = LatticePoly.one()
+    cases = [
+        (nn_recurrence_coeffs, ((1,), 1), "multi-index has 1 components but the context has r = 2"),
+        (nn_recurrence_coeffs, ((1, 0, 0), 0), "multi-index has 3 components"),
+        (lowering_coeffs, ((1,),), "multi-index has 1 components"),
+        (rodrigues_constant, ((1, 2, 3),), "multi-index has 3 components"),
+        (verify_raising, ((1, 1), 2), "component 2 out of range for r = 2"),
+        (verify_raising, ((1, 1), -1), "component -1 out of range for r = 2"),
+        # a builder that does not check the index itself
+        (lambda index, ctx: orthogonality_residuals(index, ctx, builder=lambda m, c: one),
+         ((1, 0, 0),), "multi-index has 3 components"),
+    ]
+    for fn, args, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(*args, ctx2)
 
 
 def test_oracle_d_is_computed_once_per_context_and_index(ctx2, clear_caches, monkeypatch, capsys):
