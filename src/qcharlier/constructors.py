@@ -52,7 +52,9 @@ from .qkernels import (
     QContext,
     Scalar,
     binom2,
+    _integer,
     dot,
+    falling_order,
     falling_recurrence,
     from_falling_basis,
     memo_scope,
@@ -84,7 +86,7 @@ def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
     (`MemoScope.gram`), summed with one normalization (`qkernels.dot`).
     """
     scope = memo_scope(ctx.q, ctx.exact)
-    gram = scope.gram(ctx.alphas[i])
+    k, gram = falling_order(k), scope.gram(ctx.alphas[check_component(i, ctx)])
     coeffs = to_falling_basis(p, ctx).coeffs
     return dot(coeffs, [gram(j, k) for j in range(len(coeffs))], scope.zero)
 
@@ -329,9 +331,16 @@ def check_index(index, ctx: QContext, *components: int) -> MultiIndex:
             f"multi-index has {len(index)} components but the context has r = {ctx.r}"
         )
     for k in components:
-        if not 0 <= k < ctx.r:
-            raise ValueError(f"component {k} out of range for r = {ctx.r}")
+        check_component(k, ctx)
     return index
+
+
+def check_component(i: int, ctx: QContext) -> int:
+    """0-based component i as an int, refused unless one of the r parts of ctx."""
+    i = _integer(i, "component")
+    if not 0 <= i < ctx.r:
+        raise ValueError(f"component {i} out of range for r = {ctx.r}")
+    return i
 
 
 def _monic(poly: LatticePoly, index: MultiIndex, ctx: QContext, method: str) -> LatticePoly:

@@ -37,31 +37,27 @@ class ValidationError(ValueError):
         self.guard = guard
 
 
-def _log(x: Scalar) -> float:
-    """Natural logarithm of a positive scalar; a rational is split into
-    numerator and denominator so that no float overflow or underflow occurs."""
-    if isinstance(x, Fraction):
-        return math.log(x.numerator) - math.log(x.denominator)
-    return math.log(x)
-
-
 def _q_exponent(ratio: Scalar, q: Scalar) -> Optional[int]:
-    """The integer k with ratio == q**k, or None.
+    """The integer k with ratio == q**k, or None; ratio > 0, q > 0, q != 1.
 
-    Logarithms place k within one of the nearest integer; equality then
-    decides exactly.  A rational q**k with k != 0 has a numerator or
-    denominator of at least 2**|k|, so no larger exponent can match and
-    no such power is built.
+    A rational q = u/w in lowest terms has q**k = u**k/w**k in lowest terms,
+    so k >= 0 (ratio and q on one side of 1) matches when dividing ratio's
+    numerator by u and its denominator by w, k times, leaves 1/1; k < 0
+    swaps u and w.  No float, power or bound is used.  At q = 1 the division
+    would never end; `QContext.validate` refuses q = 1 first.  A float q
+    keeps the float test: a log estimate of k, then q**k at k-1, k and k+1.
     """
-    estimate = round(_log(ratio) / _log(q))
-    bound = (
-        max(ratio.numerator, ratio.denominator).bit_length()
-        if isinstance(ratio, Fraction) else math.inf
-    )
-    for k in (estimate - 1, estimate, estimate + 1):
-        if abs(k) <= bound and ratio == q ** k:
-            return k
-    return None
+    if not isinstance(q, Fraction):
+        estimate = round(math.log(ratio) / math.log(q))
+        return next((k for k in (estimate - 1, estimate, estimate + 1) if ratio == q ** k), None)
+    up = (ratio > 1) == (q > 1)
+    u, w = (q.numerator, q.denominator) if up else (q.denominator, q.numerator)
+    num, den, k = ratio.numerator, ratio.denominator, 0
+    while num != 1 or den != 1:
+        if num % u or den % w:
+            return None
+        num, den, k = num // u, den // w, k + 1
+    return k if up else -k
 
 
 @dataclass(frozen=True)
@@ -146,20 +142,20 @@ class QContext:
 
         For 0 < q < 1, a weight with (1-q)*alpha_i*q^m = 1 for an integer
         m >= 1 zeroes a norm of the i-th moment functional, and every
-        orthogonality system with n_i > m is singular.  It is not part of
-        `validate`: the context stays valid for every index with all
-        n_i <= m.
+        orthogonality system with n_i > m is singular.  Not part of
+        `validate`: the context stays valid for every index with all n_i <= m.
+        Each call decides m by `_q_exponent`; no decision is cached.
         """
-        scope = memo_scope(self.q, self.exact)
         for i, ni in enumerate(index):
-            # m >= 1, so only n_i >= 2 can exceed it
-            m = scope.degenerate_order(self.alphas[i]) if ni >= 2 else None
-            if m is not None and ni > m:
-                raise ValidationError(
-                    "degenerate",
-                    f"(1-q)*alpha_{i + 1}*q**{m} = 1 at alpha_{i + 1} = {self.alphas[i]}, so "
-                    f"every system with n_{i + 1} > {m} is singular; got n = {index.parts}",
-                )
+            # m >= 1, so only n_i >= 2 can exceed it, and only when q < 1
+            if ni >= 2 and self.q < 1:
+                m = _q_exponent(1 / ((1 - self.q) * self.alphas[i]), self.q)
+                if m is not None and 1 <= m < ni:
+                    raise ValidationError(
+                        "degenerate",
+                        f"(1-q)*alpha_{i + 1}*q**{m} = 1 at alpha_{i + 1} = {self.alphas[i]}, "
+                        f"so every system with n_{i + 1} > {m} is singular; got n = {index.parts}",
+                    )
 
     def with_alpha(self, i: int, value: Scalar) -> "QContext":
         """New validated context with the i-th weight parameter replaced."""
@@ -179,14 +175,12 @@ class QContext:
         return Fraction(1) if self.exact else 1.0
 
 
-def _integers(values: Iterable[int], what: str) -> tuple:
-    """`values` as ints; an entry like 1.9 (or 2.0) is refused, not truncated."""
-    values = tuple(values)
+def _integer(value: int, what: str) -> int:
+    """`value` as an int; a value like 1.9 (or 2.0) is refused, not truncated."""
     try:
-        return tuple(map(operator.index, values))
+        return operator.index(value)
     except TypeError:
-        bad = next(v for v in values if not hasattr(v, "__index__"))
-        raise ValueError(f"{what} {bad!r} is not an integer") from None
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -196,7 +190,7 @@ class MultiIndex:
     parts: Tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        parts = _integers(parts, "multi-index part")
+        parts = tuple([_integer(p, "multi-index part") for p in parts])
         if any(p < 0 for p in parts):
             raise ValueError(f"multi-index parts must be nonnegative, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -236,7 +230,7 @@ class MultiIndex:
 
     def walk(self, path: Iterable[int]) -> list:
         """`path`, 0-based components in any order, checked to step from 0 here."""
-        path = list(_integers(path, "path component"))
+        path = [_integer(k, "path component") for k in path]
         for k in path:
             if not 0 <= k < len(self):
                 raise ValueError(f"path component {k} out of range for r = {len(self)}")
@@ -455,9 +449,15 @@ def falling_factorial_poly(k: int, ctx: QContext) -> LatticePoly:
     The leading coefficient is q^(-k(k-1)/2).  Read from the memo scope of
     q, where [s]^(k) is built once from [s]^(k-1) by its last factor.
     """
+    return memo_scope(ctx.q, ctx.exact).falling_poly(falling_order(k))
+
+
+def falling_order(k: int) -> int:
+    """k as a falling-factorial order: an int, refused unless nonnegative."""
+    k = _integer(k, "falling-factorial order")
     if k < 0:
-        raise ValueError("falling-factorial order must be nonnegative")
-    return memo_scope(ctx.q, ctx.exact).falling_poly(k)
+        raise ValueError(f"falling-factorial order must be nonnegative, got {k}")
+    return k
 
 
 def falling_mul_falling(p: LatticePoly, ctx: QContext) -> LatticePoly:
@@ -493,18 +493,15 @@ class MemoScope:
     """Memo tables shared by every context at one q and scalar backend.
 
     What depends on q alone: the powers q^m, the lattice values x(j) and
-    the falling-factorial polynomials [s]^(k).  What depends on (alpha, q)
-    is kept in one `_WeightTables` per alpha: the moment powers
-    (alpha q)^m, the Gram table of unit pairings Lambda([s]^(j)[s]^(k))
-    (`gram`) and the degenerate order that
-    `QContext.require_nondegenerate` decides (`degenerate_order`).  Each
-    table is read through its method.  `memos` holds the tables of the
-    functions wrapped by `scoped_memo`, all keyed by `active_key`: the
-    oracle's solutions and LU factors, the recurrence route's polynomials
-    and the oracle's down coefficients.
-    Exact and float scopes fill their tables by the same operations, so
-    they differ only in the scalar type; cached values are the ones the
-    uncached code would compute.
+    the falling-factorial polynomials [s]^(k).  What depends on (alpha, q):
+    one Gram table of unit pairings Lambda([s]^(j)[s]^(k)) per alpha
+    (`gram`).  `memos` holds the tables of the functions wrapped by
+    `scoped_memo`, all keyed by `active_key`: the oracle's solutions and LU
+    factors, the recurrence route's polynomials and the oracle's down
+    coefficients.  Each table is arithmetic, read through its method; no
+    guard keeps a decision here.  Exact and float scopes fill their tables
+    by the same operations, so they differ only in the scalar type; cached
+    values are the ones the uncached code would compute.
     """
 
     def __init__(self, q: Scalar, exact: bool):
@@ -515,7 +512,7 @@ class MemoScope:
         self._x = {}
         # [s]^(0) in the scope's scalars: a sum over a float table has a float start
         self._falling = [LatticePoly.monomial((self.one,))]
-        self._weights = {}
+        self._grams = {}
         self.memos = {}
 
     def qpow(self, m: int) -> Scalar:
@@ -539,12 +536,6 @@ class MemoScope:
             table.append((table[j] * shifted).scale(self.qpow(-j)))
         return table[k]
 
-    def _weight(self, alpha: Scalar) -> "_WeightTables":
-        tables = self._weights.get(alpha)
-        if tables is None:
-            tables = self._weights[alpha] = _WeightTables(alpha, self.one)
-        return tables
-
     def gram(self, alpha: Scalar) -> Callable[[int, int], Scalar]:
         """(j, k) -> Lambda([s]^(j) [s]^(k)) at weight parameter alpha.
         Entries are kept once per (alpha, j, k) (the Gram table), so every
@@ -558,51 +549,26 @@ class MemoScope:
 
             G(j, k+1) = q^(-k) (q^j G(j+1, k) + (x(j) - x(k)) G(j, k)),
 
-        from G(j, 0) = (alpha q)^j, which is Lambda [s]^(j) itself: O(1)
-        per entry, on exact and float scopes alike.
+        from G(j, 0) = (alpha q)^j = G(j-1, 0) G(1, 0), which is Lambda [s]^(j)
+        itself: O(1) per entry, on exact and float scopes alike.
         """
-        return functools.partial(self._pairing, self._weight(alpha))
+        table = self._grams.get(alpha)
+        if table is None:
+            table = self._grams[alpha] = {(0, 0): self.one, (1, 0): alpha * self.q}
+        return functools.partial(self._pairing, table)
 
-    def _pairing(self, tables: "_WeightTables", j: int, k: int) -> Scalar:
+    def _pairing(self, table: dict, j: int, k: int) -> Scalar:
         key = (j, k)
-        if key not in tables.gram:
+        if key not in table:
             if k == 0:
-                powers, step = tables.moments, tables.alpha * self.q
-                while len(powers) <= j:
-                    powers.append(powers[-1] * step)
-                value = powers[j]
+                value = self._pairing(table, j - 1, 0) * table[1, 0]
             else:
                 value = self.qpow(1 - k) * (
-                    self.qpow(j) * self._pairing(tables, j + 1, k - 1)
-                    + (self.x(j) - self.x(k - 1)) * self._pairing(tables, j, k - 1)
+                    self.qpow(j) * self._pairing(table, j + 1, k - 1)
+                    + (self.x(j) - self.x(k - 1)) * self._pairing(table, j, k - 1)
                 )
-            tables.gram[key] = value
-        return tables.gram[key]
-
-    def degenerate_order(self, alpha: Scalar) -> Optional[int]:
-        """The integer m >= 1 with (1-q)*alpha*q^m = 1, or None; decided
-        exactly by `_q_exponent`, once per alpha."""
-        tables = self._weight(alpha)
-        if tables.degenerate_order is _UNSET:
-            m = _q_exponent(1 / ((1 - self.q) * alpha), self.q) if self.q < 1 else None
-            tables.degenerate_order = m if m is not None and m >= 1 else None
-        return tables.degenerate_order
-
-
-_UNSET = object()
-
-
-class _WeightTables:
-    """What a memo scope keeps for one weight parameter alpha: the moments
-    (alpha q)^m, the Gram table keyed by (j, k), and the degenerate order."""
-
-    __slots__ = ("alpha", "moments", "gram", "degenerate_order")
-
-    def __init__(self, alpha: Scalar, one: Scalar):
-        self.alpha = alpha
-        self.moments = [one]
-        self.gram = {}
-        self.degenerate_order = _UNSET
+            table[key] = value
+        return table[key]
 
 
 @functools.lru_cache(maxsize=1)
@@ -613,6 +579,9 @@ def memo_scope(q: Scalar, exact: bool) -> MemoScope:
     same hash: keyed on q alone, the exact twin of a float context would be
     handed float tables."""
     return MemoScope(q, exact)
+
+
+_UNSET = object()
 
 
 def scoped_memo(fn):

@@ -95,6 +95,37 @@ def test_verify_degenerate_shift_exits_with_guard(capsys):
     assert "degenerate" in err
 
 
+NEAR_ONE_T = "10000000000000001/10000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--t", NEAR_ONE_T, "--n", "1,1"),
+        ("gen", "--t", "9999999999999999/10000000000000000", "--n", "2", "--alpha", "1/2"),
+        ("verify", "--t", NEAR_ONE_T, "--rmax", "2", "--nmax", "1"),
+    ],
+)
+def test_guards_decide_within_1e_16_of_q_1(capsys, argv):
+    # log(q) rounds to 0.0 there; the ratio and degenerate guards used to
+    # divide by it and exit 1 with a ZeroDivisionError traceback
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert all(entry["status"] == "pass" for entry in doc.get("checks", []))
+
+
+def test_ratio_guard_refuses_q_alpha_within_1e_16_of_q_1(capsys):
+    # alpha_2 = q*alpha_1 at t = 1 + 1e-16
+    q = Fraction(NEAR_ONE_T) ** 2
+    alpha2 = format_scalar(q / 2)
+    code, _, err = run_cli(
+        capsys, "gen", "--t", NEAR_ONE_T, "--n", "1,1", "--alpha", "1/2", "--alpha", alpha2
+    )
+    assert code == 2
+    assert "ratio: alpha_1/alpha_2 equals q**-1" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

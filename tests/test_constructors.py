@@ -3,6 +3,7 @@
 import cProfile
 import itertools
 import pstats
+import re
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,24 @@ def test_exact_moment_pairing_equals_factor_step_expansion(t, coeffs, case):
     assert moment_pairing(p, k, i, ctx) == expected
 
 
+@pytest.mark.parametrize(
+    "k, i, message",
+    [
+        # -1 would pair against alpha_2 by negative indexing; the k's would
+        # recurse in the Gram table until RecursionError
+        (1, -1, "component -1 out of range for r = 2"),
+        (1, 2, "component 2 out of range for r = 2"),
+        (1, 1.0, "component 1.0 is not an integer"),
+        (-1, 0, "falling-factorial order must be nonnegative, got -1"),
+        (1.5, 0, "falling-factorial order 1.5 is not an integer"),
+    ],
+)
+def test_moment_pairing_refuses_bad_arguments(ctx2, k, i, message):
+    p = LatticePoly.monomial((Fraction(1, 3), 1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        moment_pairing(p, k, i, ctx2)
+
+
 def test_float_and_exact_oracle_run_the_same_algorithm(clear_caches):
     # a float context and its exact shadow fill the same Gram entries and
     # the same bordered factors: Fraction(0.6) == 0.6 with the same hash,
@@ -277,8 +296,8 @@ def _gram_entries(scope):
     """Every Gram entry a scope holds, keyed by (alpha, j, k)."""
     return {
         (alpha, j, k): value
-        for alpha, tables in scope._weights.items()
-        for (j, k), value in tables.gram.items()
+        for alpha, table in scope._grams.items()
+        for (j, k), value in table.items()
     }
 
 

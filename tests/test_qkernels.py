@@ -113,31 +113,69 @@ def test_convergence_guard():
     QContext.from_t("9/10", ["1/2"]).require_convergent_measures()
 
 
-def test_degenerate_order_is_decided_once_per_alpha(clear_caches, monkeypatch):
+def test_degenerate_guard_keeps_no_state_in_the_memo_scope(clear_caches, monkeypatch):
     # at q = 1/4, (1-q)*alpha*q = 1 at alpha = 16/3, so m = 1 there; 1/2 has
-    # no such m.  Two contexts at one q share the memo scope, and with it
-    # the decision for their common alpha
+    # no such m.  The guard decides each time by the exponent test and
+    # neither reads nor fills the memo scope
+    assert not hasattr(qkernels, "_log")
+    assert not hasattr(qkernels, "_WeightTables")
+    assert not hasattr(MemoScope, "degenerate_order")
     clear_caches()
     first = QContext.from_t("1/2", ["1/2", "16/3"])
     second = QContext.from_t("1/2", ["16/3", "2/3"])
-    ratios = []
-    exponent = qkernels._q_exponent
 
-    def counted(ratio, q):
-        ratios.append(ratio)
-        return exponent(ratio, q)
+    def no_scope(q, exact):
+        raise AssertionError("the degenerate guard looked up the memo scope")
 
-    monkeypatch.setattr(qkernels, "_q_exponent", counted)
+    monkeypatch.setattr(qkernels, "memo_scope", no_scope)
     first.require_nondegenerate(MultiIndex((2, 1)))
     for ctx, parts in ((first, (0, 2)), (second, (2, 0)), (second, (3, 1))):
         with pytest.raises(ValidationError) as err:
             ctx.require_nondegenerate(MultiIndex(parts))
         assert err.value.guard == "degenerate"
     second.require_nondegenerate(MultiIndex((1, 3)))
-    assert ratios == [Fraction(8, 3), Fraction(1, 4), Fraction(2)]
-    scope = memo_scope(first.q, first.exact)
-    assert [scope.degenerate_order(a) for a in (Fraction(1, 2), Fraction(16, 3))] == [None, 1]
-    assert len(ratios) == 3
+
+
+def _exponent_by_search(ratio, q, bound):
+    """The k with |k| <= bound and ratio == q**k, or None, by stepping
+    through the powers of q."""
+    up = down = Fraction(1)
+    for k in range(bound + 1):
+        if ratio == up:
+            return k
+        if ratio == down:
+            return -k
+        up, down = up * q, down / q
+    return None
+
+
+NEAR_ONE = st.builds(
+    lambda w, d: Fraction(w + d, w), st.integers(10 ** 16, 10 ** 17), st.sampled_from([-1, 1])
+)
+EXPONENT_BASES = st.one_of(
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)),
+    st.builds(Fraction, st.just(1), st.integers(2, 40)),  # q = 1/w
+    st.builds(Fraction, st.integers(2, 40)),  # q = u/1
+    NEAR_ONE,
+).filter(lambda q: q != 1)
+#: a factor whose numerator and denominator are below 2**8: it equals q**j
+#: only for |j| < 8, so every ratio drawn below is q**k with |k| < 78 or no
+#: power of q, and a search up to 100 decides it
+PERTURBATIONS = st.one_of(
+    st.just(Fraction(1)), st.builds(Fraction, st.integers(1, 255), st.integers(1, 255))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXPONENT_BASES, st.integers(-70, 70), PERTURBATIONS)
+def test_rational_exponent_test_matches_search(q, k, factor):
+    # the integer test against a search over the powers, also where q is
+    # within 1e-16 of 1 and log(q) rounds to 0.0
+    ratio = q ** k * factor
+    expected = _exponent_by_search(ratio, q, 100)
+    assert qkernels._q_exponent(ratio, q) == expected
+    if factor == 1:
+        assert expected == k
 
 
 def test_multi_index_operations():

@@ -164,6 +164,10 @@ def test_index_length_and_component_are_checked(ctx2):
         (rodrigues_constant, ((1, 2, 3),), "multi-index has 3 components"),
         (verify_raising, ((1, 1), 2), "component 2 out of range for r = 2"),
         (verify_raising, ((1, 1), -1), "component -1 out of range for r = 2"),
+        # a component is an integer, as a multi-index part is
+        (nn_recurrence_coeffs, ((1, 1), 1.0), "component 1.0 is not an integer"),
+        (verify_raising, ((1, 1), 1.0), "component 1.0 is not an integer"),
+        (verify_nn_recurrence, ((1, 1), 0.5), "component 0.5 is not an integer"),
         # a builder that does not check the index itself
         (lambda index, ctx: orthogonality_residuals(index, ctx, builder=lambda m, c: one),
          ((1, 0, 0),), "multi-index has 3 components"),
