@@ -9,6 +9,7 @@ parameter validation failure or float overflow.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -69,7 +70,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused by
+    later calls in the process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="qcharlier",
         description="Exact engine for q-deformed multiple Charlier polynomials",

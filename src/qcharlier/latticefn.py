@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qkernels import FALLING, MONOMIAL, LatticePoly, QContext, Scalar, memo_scope
+from .qkernels import FALLING, MONOMIAL, LatticePoly, QContext, Scalar, _integer, memo_scope
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,7 @@ def rodrigues_elementary(
     The geometric base returns to its input value: the q^n gained up front is
     consumed by the n base divisions inside the iterated nabla.
     """
+    n = _integer(n, "factor order")
     if n < 0:
         raise ValueError("factor order must be nonnegative")
     out = f.times_geometric(alpha * ctx.q ** n)

@@ -144,18 +144,28 @@ class QContext:
         m >= 1 zeroes a norm of the i-th moment functional, and every
         orthogonality system with n_i > m is singular.  Not part of
         `validate`: the context stays valid for every index with all n_i <= m.
-        Each call decides m by `_q_exponent`; no decision is cached.
+        Each call decides m by `_q_exponent`; no decision is cached.  On an
+        exact context, q = u/w and alpha_i = a/b make the ratio
+        w b/((w - u) a), built with one normalization; a float context keeps
+        the expression 1/((1 - q) alpha_i) and so its decisions.
         """
         for i, ni in enumerate(index):
             # m >= 1, so only n_i >= 2 can exceed it, and only when q < 1
             if ni >= 2 and self.q < 1:
-                m = _q_exponent(1 / ((1 - self.q) * self.alphas[i]), self.q)
+                m = _q_exponent(self._degenerate_ratio(self.alphas[i]), self.q)
                 if m is not None and 1 <= m < ni:
                     raise ValidationError(
                         "degenerate",
                         f"(1-q)*alpha_{i + 1}*q**{m} = 1 at alpha_{i + 1} = {self.alphas[i]}, "
                         f"so every system with n_{i + 1} > {m} is singular; got n = {index.parts}",
                     )
+
+    def _degenerate_ratio(self, alpha: Scalar) -> Scalar:
+        """1/((1 - q) alpha)."""
+        if not self.exact:
+            return 1 / ((1 - self.q) * alpha)
+        u, w = self.q.numerator, self.q.denominator
+        return Fraction(w * alpha.denominator, (w - u) * alpha.numerator)
 
     def with_alpha(self, i: int, value: Scalar) -> "QContext":
         """New validated context with the i-th weight parameter replaced."""
@@ -242,8 +252,8 @@ class MultiIndex:
     def coerce(cls, value) -> "MultiIndex":
         if isinstance(value, MultiIndex):
             return value
-        if isinstance(value, int):
-            return cls((value,))
+        if not hasattr(value, "__iter__"):
+            return cls((_integer(value, "multi-index"),))
         return cls(tuple(value))
 
 
@@ -493,7 +503,8 @@ class MemoScope:
     """Memo tables shared by every context at one q and scalar backend.
 
     What depends on q alone: the powers q^m, the lattice values x(j) and
-    the falling-factorial polynomials [s]^(k).  What depends on (alpha, q):
+    the falling-factorial polynomials [s]^(k), on an exact scope with their
+    integer rows (`falling_numerators`) beside them.  What depends on (alpha, q):
     one Gram table of unit pairings Lambda([s]^(j)[s]^(k)) per alpha
     (`gram`).  `memos` holds the tables of the functions wrapped by
     `scoped_memo`, all keyed by `active_key`: the oracle's solutions and LU
@@ -512,6 +523,8 @@ class MemoScope:
         self._x = {}
         # [s]^(0) in the scope's scalars: a sum over a float table has a float start
         self._falling = [LatticePoly.monomial((self.one,))]
+        # exact scopes: the integer rows P_k of [s]^(k) = P_k(X)/u^C(k,2)
+        self._numerators = [[1]] if exact else None
         self._grams = {}
         self.memos = {}
 
@@ -528,13 +541,37 @@ class MemoScope:
         return self._x[s]
 
     def falling_poly(self, k: int) -> LatticePoly:
-        """[s]^(k) in the monomial basis."""
+        """[s]^(k) in the monomial basis, each row built once.  An exact row
+        is its integer row (`falling_numerators`) over u^C(k,2), one
+        `Fraction` per coefficient; a float row is [s]^(k-1) times its last
+        factor (X - x(k-1))/q^(k-1)."""
         table = self._falling
         while len(table) <= k:
             j = len(table) - 1
-            shifted = LatticePoly.monomial((-self.x(j), self.one))
-            table.append((table[j] * shifted).scale(self.qpow(-j)))
+            if self._numerators is None:
+                shifted = LatticePoly.monomial((-self.x(j), self.one))
+                table.append((table[j] * shifted).scale(self.qpow(-j)))
+            else:
+                denominator = self.q.numerator ** binom2(j + 1)
+                row = self.falling_numerators(j + 1)
+                table.append(LatticePoly.monomial([Fraction(c, denominator) for c in row]))
         return table[k]
+
+    def falling_numerators(self, k: int) -> list:
+        """Exact scopes: the integer coefficients P_k of [s]^(k) = P_k(X)/u^C(k,2),
+        where q = u/w in lowest terms.  Since x(j) = N_j/w^(j-1) with
+        N_j = (u^j - w^j)/(u - w), the factor (X - x(j))/q^j is
+        (w^j X - w N_j)/u^j, and P_(j+1) = P_j (w^j X - w N_j)."""
+        rows = self._numerators
+        u, w = self.q.numerator, self.q.denominator
+        while len(rows) <= k:
+            j = len(rows) - 1
+            lead, constant = w ** j, -w * ((u ** j - w ** j) // (u - w))
+            row = [c * constant for c in rows[j]] + [0]
+            for i, c in enumerate(rows[j]):
+                row[i + 1] += c * lead
+            rows.append(row)
+        return rows[k]
 
     def gram(self, alpha: Scalar) -> Callable[[int, int], Scalar]:
         """(j, k) -> Lambda([s]^(j) [s]^(k)) at weight parameter alpha.
@@ -613,29 +650,83 @@ def active_key(ctx: QContext, index: MultiIndex) -> tuple:
 
 
 def to_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
-    """Exact triangular conversion monomial -> falling, one coefficient at a
-    time from the top: c_e = (p_e - sum_{d > e} c_d F_d[e]) / F_e[e], with
-    F_d the monomial coefficients of [s]^(d) and d descending."""
+    """Triangular conversion monomial -> falling.
+
+    Exact contexts run Horner's rule from the top coefficient and stay in
+    the falling basis, multiplying by X through
+    X [s]^(k) = q^k [s]^(k+1) + x(k) [s]^(k), the rule of
+    `falling_mul_falling`.  With q = u/w in lowest terms, q^k = u^k/w^k
+    and x(k) = N_k/w^(k-1), so the running coefficients are integers over
+    C w^E: C is the lcm of the input denominators, and a step from degree
+    m raises E by m.  Each output coefficient is one `Fraction`, and no
+    [s]^(k) table is read.
+
+    Float contexts solve from the top, c_e = (p_e - sum_{d > e} c_d F_d[e])
+    / F_e[e] with F_d the monomial coefficients of [s]^(d), d descending.
+    """
     if p.basis == FALLING:
         return p
     n = len(p.coeffs)
-    falling = [falling_factorial_poly(d, ctx).coeffs for d in range(n)]
-    out = [None] * n
-    for e in range(n - 1, -1, -1):
-        later = range(n - 1, e, -1)
-        rest = dot([out[d] for d in later], [falling[d][e] for d in later], p.coeffs[e], -1)
-        out[e] = rest / falling[e][e] if rest != 0 else rest
-    return LatticePoly.falling(out)
+    if not ctx.exact:
+        falling = [falling_factorial_poly(d, ctx).coeffs for d in range(n)]
+        out = [None] * n
+        for e in range(n - 1, -1, -1):
+            later = range(n - 1, e, -1)
+            rest = dot([out[d] for d in later], [falling[d][e] for d in later], p.coeffs[e], -1)
+            out[e] = rest / falling[e][e] if rest != 0 else rest
+        return LatticePoly.falling(out)
+    if not n:
+        return LatticePoly.falling(())
+    u, w = ctx.q.numerator, ctx.q.denominator
+    upow, wpow = [u ** k for k in range(n)], [w ** k for k in range(n)]
+    lattice = [(upow[k] - wpow[k]) // (u - w) for k in range(n)]  # N_k
+    numerators, scale = _over_lcm(p.coeffs)
+    acc, exponent = [numerators[-1]], 0
+    for c in reversed(numerators[:-1]):
+        top = len(acc) - 1
+        step = [a * lattice[k] * wpow[top - k + 1] for k, a in enumerate(acc)] + [0]
+        for k, a in enumerate(acc):
+            step[k + 1] += a * upow[k] * wpow[top - k]
+        exponent += top
+        step[0] += c * w ** exponent
+        acc = step
+    denominator = scale * w ** exponent
+    return LatticePoly.falling([Fraction(a, denominator) for a in acc])
 
 
 def from_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
     """Triangular conversion falling -> monomial: the coefficient of X^i is
-    sum_{d >= i} c_d F_d[i], d ascending, F_d as in `to_falling_basis`."""
+    sum_{d >= i} c_d F_d[i], d ascending, F_d the monomial coefficients of
+    [s]^(d) (`falling_factorial_poly`).
+
+    Exact contexts sum integers: with q = u/w in lowest terms, every
+    denominator of F_d[i] divides u^C(d,2), so each sum is an integer over
+    C u^C(n-1,2), C the lcm of the input denominators, and each output
+    coefficient is one `Fraction`.  Float contexts sum by `dot`, d ascending.
+    """
     if p.basis == MONOMIAL:
         return p
     n = len(p.coeffs)
     falling = [falling_factorial_poly(d, ctx).coeffs for d in range(n)]
-    zero = ctx.zero()
-    return LatticePoly.monomial(
-        dot(p.coeffs[i:], [falling[d][i] for d in range(i, n)], zero) for i in range(n)
-    )
+    if not ctx.exact:
+        zero = ctx.zero()
+        return LatticePoly.monomial(
+            dot(p.coeffs[i:], [falling[d][i] for d in range(i, n)], zero) for i in range(n)
+        )
+    numerators, scale = _over_lcm(p.coeffs)
+    power = ctx.q.numerator ** binom2(n - 1)
+    out = []
+    for i in range(n):
+        total = 0
+        for d in range(i, n):
+            f = falling[d][i]
+            if f and numerators[d]:
+                total += numerators[d] * f.numerator * (power // f.denominator)
+        out.append(Fraction(total, scale * power))
+    return LatticePoly.monomial(out)
+
+
+def _over_lcm(coeffs) -> tuple:
+    """Rational coefficients as (integer numerators, C) over their lcm C."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale

@@ -8,10 +8,11 @@ the closed form of the recurrence's down coefficients, the lowering and
 step-line coefficients peeled off the polynomials by moment ratios and by
 degree (the package uses their closed forms), the single-family form of
 the difference equation, the classical difference identity, and a dense
-Gauss-Jordan solve of the orthogonality system.  Three are the slower
+Gauss-Jordan solve of the orthogonality system.  Four are the slower
 second paths to what a package kernel computes more cheaply: the Gram entry
-by the expanded falling product, Horner's rule on scalars, and the explicit
-r-fold sum term by term.  None of them is reached by a command, so they
+by the expanded falling product, Horner's rule on scalars, the explicit
+r-fold sum term by term, and the basis conversions through a table of
+`Fraction` products.  None of them is reached by a command, so they
 live here rather than in the package.
 """
 
@@ -163,6 +164,45 @@ def explicit_sum(index, ctx):
             term *= ctx.q ** binom2(k) * (-1) ** k * (ctx.q ** n * a) ** (-k)
         fall[sum(ks)] += term
     return from_falling_basis(LatticePoly.falling(fall), ctx).scale(prefactor)
+
+
+# ---------------------------------------------------------------------------
+# basis conversions through a table of Fraction products
+# ---------------------------------------------------------------------------
+
+def falling_table_by_products(n, ctx):
+    """[s]^(0), ..., [s]^(n-1) as monomial polynomials, each row the one
+    before it times its last factor (X - x(j))/q^j in `Fraction`
+    arithmetic: the fill exact memo scopes make from integer rows."""
+    table = [LatticePoly.monomial((ctx.one(),))]
+    for j in range(n - 1):
+        shifted = LatticePoly.monomial((-x_of(j, ctx), ctx.one()))
+        table.append((table[j] * shifted).scale(ctx.q ** -j))
+    return [row.coeffs for row in table[:n]]
+
+
+def to_falling_by_table(p, ctx):
+    """Monomial -> falling by back-substitution from the top,
+    c_e = (p_e - sum_{d > e} c_d F_d[e]) / F_e[e], term by term on the
+    table of `falling_table_by_products`: what float contexts run, and what
+    exact ones ran before Horner's rule on integers."""
+    n = len(p.coeffs)
+    falling = falling_table_by_products(n, ctx)
+    out = [None] * n
+    for e in range(n - 1, -1, -1):
+        rest = p.coeffs[e] - sum(out[d] * falling[d][e] for d in range(e + 1, n))
+        out[e] = rest / falling[e][e]
+    return LatticePoly.falling(out)
+
+
+def from_falling_by_table(p, ctx):
+    """Falling -> monomial, the coefficient of X^i summed term by term as
+    sum_{d >= i} c_d F_d[i] on the table of `falling_table_by_products`."""
+    n = len(p.coeffs)
+    falling = falling_table_by_products(n, ctx)
+    return LatticePoly.monomial(
+        sum((p.coeffs[d] * falling[d][i] for d in range(i, n)), ctx.zero()) for i in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 import itertools
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qcharlier import QContext, build
-from qcharlier.cli import _exact_shadow, main
+from qcharlier.cli import _build_parser, _exact_shadow, main
 from qcharlier.scalars import format_scalar
 
 
@@ -341,3 +346,45 @@ def test_limit_refuses_repeated_or_single_exponents(capsys, listed):
 def test_usage_without_command(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _masked(text):
+    return re.sub(r'"ms": [0-9.e-]+', '"ms": 0', text)
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from qcharlier.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_one_process_reuses_its_parser_with_fresh_process_results(capsys):
+    # the parser is built once per process; a usage error on it, and the
+    # runs before and after, must give what a fresh process gives
+    runs = [
+        ("gen", "--t", "4/3", "--n", "2,1", "--basis", "falling"),
+        ("gen", "--n", "2", "--method", "nonesuch"),
+        ("verify", "--quiet", "--rmax", "2", "--nmax", "1"),
+        ("gen", "--n", "1,1,1", "--method", "recurrence"),
+    ]
+    parser, codes = _build_parser(), []
+    for argv in runs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        captured = capsys.readouterr()
+        fresh = _fresh_process(argv)
+        assert (code, _masked(captured.out), captured.err) == (
+            fresh[0], _masked(fresh[1]), fresh[2]
+        ), argv
+    assert codes == [0, 2, 0, 0]
+    assert _build_parser() is parser

@@ -303,12 +303,14 @@ def _gram_entries(scope):
 
 #: Ceilings on the math.gcd calls of one cold (10, 10) build at t = 9/10,
 #: alphas (1/2, 3/5), counted with CPython 3.11's fractions module.  With one
-#: normalization per exact sum (`qkernels.dot`) the counts are 6,292
-#: (system) and 13,074 (recurrence, which skips the identity factor of
-#: X = [s]^(1) at j = 0; 16,504 with it).  Summing term by term again, in the
-#: constructors or in the basis conversions alone, gives at least 8,375 and
-#: 18,587; normalizing every term everywhere gave 19,372 and 37,361.
-GCD_CEILINGS = {"linear_system": 7_500, "recurrence": 13_500}
+#: normalization per exact sum (`qkernels.dot`) and basis conversions on
+#: integer numerators (one `Fraction` per output coefficient) the counts are
+#: 5,684 (system) and 12,468 (recurrence, which skips the identity factor of
+#: X = [s]^(1) at j = 0).  Converting through the table of `Fraction` rows
+#: gave 6,172 and 12,956; summing term by term again, in the constructors or
+#: in the basis conversions alone, gives at least 8,375 and 18,587;
+#: normalizing every term everywhere gave 19,372 and 37,361.
+GCD_CEILINGS = {"linear_system": 6_000, "recurrence": 12_800}
 
 
 @pytest.mark.parametrize("method", sorted(GCD_CEILINGS))

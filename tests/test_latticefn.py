@@ -204,6 +204,13 @@ def test_rodrigues_elementary_identity_at_zero(ctx2):
     assert rodrigues_elementary(f, ctx2.alphas[0], 0, ctx2) == f
 
 
+@pytest.mark.parametrize("order", [2.0, 1.5])
+def test_rodrigues_elementary_refuses_a_float_order(ctx2, order):
+    f = wlf(Fraction(1), (1, 2))
+    with pytest.raises(ValueError, match=f"factor order {order} is not an integer"):
+        rodrigues_elementary(f, ctx2.alphas[0], order, ctx2)
+
+
 def test_rodrigues_elementary_single_step(ctx2, q2):
     a = ctx2.alphas[0]
     f = wlf(Fraction(1), (1,))

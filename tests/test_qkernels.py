@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from oracles import (
     compose_affine_horner,
     falling_product,
+    falling_table_by_products,
+    from_falling_by_table,
     gram_by_expansion,
     q_binomial,
     q_factorial,
+    to_falling_by_table,
     weight_masses,
     weight_partial_sums,
 )
@@ -136,6 +139,38 @@ def test_degenerate_guard_keeps_no_state_in_the_memo_scope(clear_caches, monkeyp
     second.require_nondegenerate(MultiIndex((1, 3)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
+    st.lists(st.fractions(min_value=Fraction(1, 50), max_value=Fraction(50), max_denominator=60),
+             min_size=1, max_size=3, unique=True),
+    st.data(),
+)
+def test_exact_degenerate_ratio_decides_as_the_old_expression(q, alphas, data):
+    # the ratio w b/((w - u) a) decides as 1/((1-q) alpha) did; half of the
+    # weights are put on a degenerate point 1/((1-q) q^m)
+    alphas = [a if data.draw(st.booleans()) else 1 / ((1 - q) * q ** data.draw(st.integers(1, 4)))
+              for a in alphas]
+    ctx = QContext(t=Fraction(1), q=q, alphas=tuple(alphas), exact=True)
+    index = MultiIndex(data.draw(st.lists(st.integers(0, 6), min_size=len(alphas),
+                                          max_size=len(alphas))))
+
+    def old_decision():
+        for i, ni in enumerate(index):
+            if ni >= 2:
+                m = qkernels._q_exponent(1 / ((1 - q) * alphas[i]), q)
+                if m is not None and 1 <= m < ni:
+                    return i
+        return None
+
+    expected = old_decision()
+    if expected is None:
+        ctx.require_nondegenerate(index)
+    else:
+        with pytest.raises(ValidationError, match=f"alpha_{expected + 1}\\*q"):
+            ctx.require_nondegenerate(index)
+
+
 def _exponent_by_search(ratio, q, bound):
     """The k with |k| <= bound and ratio == q**k, or None, by stepping
     through the powers of q."""
@@ -176,6 +211,12 @@ def test_rational_exponent_test_matches_search(q, k, factor):
     assert qkernels._q_exponent(ratio, q) == expected
     if factor == 1:
         assert expected == k
+
+
+@pytest.mark.parametrize("value", [1.0, 2.5])
+def test_multi_index_coerce_refuses_a_float(value):
+    with pytest.raises(ValueError, match=f"multi-index {value} is not an integer"):
+        MultiIndex.coerce(value)
 
 
 def test_multi_index_operations():
@@ -292,6 +333,69 @@ def test_basis_round_trip(coeffs):
     ctx = QContext.from_t("9/10", ["1/2"])
     poly = LatticePoly.monomial(coeffs)
     assert from_falling_basis(to_falling_basis(poly, ctx), ctx) == poly
+
+
+TWO_DIGIT_PRIMES = [p for p in range(11, 100) if all(p % d for d in range(2, p))]
+#: q = u/w below and above 1, and the exact shadows of binary q (2^-53 steps)
+CONVERSION_QS = st.one_of(
+    st.builds(Fraction, st.sampled_from(TWO_DIGIT_PRIMES), st.sampled_from(TWO_DIGIT_PRIMES)),
+    st.floats(0.05, 3.0).map(Fraction),
+).filter(lambda q: q != 1)
+#: degrees 0 to 21, with zero coefficients inside and at the ends
+CONVERSION_COEFFS = st.lists(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40),
+    ),
+    max_size=22,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CONVERSION_QS, CONVERSION_COEFFS)
+def test_integer_conversions_equal_the_fraction_table(q, coeffs):
+    # both exact conversions and the scope's integer-row table against the
+    # term-by-term Fraction references, and the round trip
+    memo_scope.cache_clear()
+    ctx = QContext(t=Fraction(1), q=q, alphas=(Fraction(1, 2),), exact=True)
+    table = falling_table_by_products(len(coeffs) + 1, ctx)
+    assert [falling_factorial_poly(k, ctx).coeffs for k in range(len(table))] == table
+    monomial, falling = LatticePoly.monomial(coeffs), LatticePoly.falling(coeffs)
+    converted = to_falling_basis(monomial, ctx)
+    assert converted == to_falling_by_table(monomial, ctx)
+    assert from_falling_basis(falling, ctx) == from_falling_by_table(falling, ctx)
+    assert from_falling_basis(converted, ctx) == monomial
+    assert to_falling_basis(from_falling_basis(falling, ctx), ctx) == falling
+
+
+def test_exact_integer_rows_carry_the_denominator_u_to_the_binomial(clear_caches):
+    # [s]^(k) = P_k(X)/u^C(k,2) at q = u/w, with P_k an integer polynomial,
+    # and u^C(k,2) is the lcm of the row's denominators
+    clear_caches()
+    for t in ("9/10", "4/3"):
+        ctx = QContext.from_t(t, ["1/2"])
+        scope = memo_scope(ctx.q, ctx.exact)
+        for k in range(12):
+            denominator = ctx.q.numerator ** binom2(k)
+            row = falling_factorial_poly(k, ctx).coeffs
+            assert math.lcm(*(c.denominator for c in row)) == denominator
+            assert scope.falling_numerators(k) == [c * denominator for c in row]
+
+
+def test_exact_to_falling_basis_reads_no_table(clear_caches, monkeypatch):
+    clear_caches()
+    ctx = QContext.from_t("59/67", ["1/2", "3/5"])
+    poly = build((4, 3), ctx).poly
+    expected = to_falling_by_table(poly, ctx)
+
+    def no_table(*args):
+        raise AssertionError("the exact conversion read a falling-factorial table")
+
+    clear_caches()
+    monkeypatch.setattr(qkernels, "falling_factorial_poly", no_table)
+    monkeypatch.setattr(MemoScope, "falling_poly", no_table)
+    monkeypatch.setattr(MemoScope, "falling_numerators", no_table)
+    assert to_falling_basis(poly, ctx) == expected
 
 
 @settings(max_examples=40)
