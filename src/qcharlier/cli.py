@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from typing import Optional
 
 from . import classical, relations, zeros
 from .constructors import build, build_linear_system
@@ -124,8 +125,24 @@ def _context_flags(sub, *names):
     sub.add_argument("--alpha", action="append", help="weight parameter p/r (repeatable)")
 
 
-def _parse_index(text) -> MultiIndex:
-    return MultiIndex(tuple(int(p) for p in str(text).split(",")))
+def _parse_index(text: str) -> MultiIndex:
+    """The multi-index of --n."""
+    return MultiIndex(_integers("--n", text))
+
+
+def _integers(flag: str, value: str, text: Optional[str] = None) -> list:
+    """The comma-separated integers of `text` (all of `value` by default),
+    which is part of the value of `flag`."""
+    return [_integer_part(flag, value, part) for part in (value if text is None else text).split(",")]
+
+
+def _integer_part(flag: str, value: str, part: str) -> int:
+    """`part` of the value of `flag` as an int; an error names the flag, the
+    value and the part."""
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"{flag} {value}: part {part!r} is not an integer") from None
 
 
 def _alphas(args, r: int, source: str, prefixes: bool = False) -> list:
@@ -191,9 +208,9 @@ def _defect_builder(spec: str):
     the checks are not vacuous.  `built_target` records whether it was ever
     built: a run that never built it corrupted nothing, and verify refuses it."""
     loc, _, rest = spec.partition(":")
-    target = tuple(int(p) for p in loc.split(","))
+    target = tuple(_integers("--inject-defect", spec, loc))
     coeff_str, _, amount_str = rest.partition(":")
-    coeff_index = int(coeff_str)
+    coeff_index = _integer_part("--inject-defect", spec, coeff_str)
     amount = parse_scalar(amount_str) if amount_str else Fraction(1, 10 ** 6)
     if amount == 0:
         raise ValueError(f"--inject-defect {spec}: an amount of 0 corrupts nothing")
@@ -347,7 +364,7 @@ def _exact_shadow(ctx: QContext) -> QContext:
 # ---------------------------------------------------------------------------
 
 def cmd_limit(args) -> int:
-    exponents = sorted(int(v) for v in args.m_list.split(","))
+    exponents = sorted(_integers("--m-list", args.m_list))
     if len(set(exponents)) != len(exponents) or len(exponents) < 2:
         raise ValueError(f"--m-list {args.m_list}: convergence needs two or more distinct exponents")
     index = _parse_index(args.n)

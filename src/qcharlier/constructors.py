@@ -31,7 +31,9 @@ Construction routes:
 * `build_recurrence` - iterates the nearest-neighbor relation from C_0 = 1
   in the falling basis, one step of `qkernels.falling_recurrence` (the
   kernel the recurrence checks call) each, its polynomials kept once per
-  `active_key`; it converts only the result to monomials.
+  `active_key`; it converts only the result to monomials.  On exact
+  contexts it keeps integer numerators over the known denominator T(n)
+  and steps on integers (`qkernels.falling_recurrence_numerators`).
 
 Float contexts run the same algorithms as exact ones, in floats: the same
 Gram recurrence, the same bordered LU and the same falling basis.
@@ -41,6 +43,7 @@ All four agree coefficient-for-coefficient on exact contexts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .latticefn import WeightedLatticeFn, rodrigues_elementary
@@ -53,9 +56,11 @@ from .qkernels import (
     Scalar,
     binom2,
     _integer,
+    _over_lcm,
     dot,
     falling_order,
     falling_recurrence,
+    falling_recurrence_numerators,
     from_falling_basis,
     memo_scope,
     scoped_memo,
@@ -81,14 +86,33 @@ class ConstructionError(RuntimeError):
 
 def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
     """Lambda_i( p * [s]^(k) ) for p in either basis: the sum of
-    c_j Lambda_i([s]^(j) [s]^(k)) over the falling coefficients c_j of p,
-    each unit pairing read from the Gram table of the memo scope
-    (`MemoScope.gram`), summed with one normalization (`qkernels.dot`).
+    c_j Lambda_i([s]^(j) [s]^(k)) over the falling coefficients c_j of p.
+
+    Exact contexts sum integers: with q = u/w and alpha_i = a/b in lowest
+    terms, the Gram table holds G(j, k) = g(j, k)/(b^(j+k) w^(jk+j+k))
+    (`MemoScope.gram_numerators`), so with p_j the numerators of the c_j
+    over their lcm C and J the top degree, the pairing is the sum of
+    p_j g(j, k) (b w^(k+1))^(J-j) over C b^(J+k) w^(Jk+J+k), one `Fraction`.
+    Float contexts read the float Gram table (`MemoScope.gram`) and sum
+    with `qkernels.dot`.
     """
     scope = memo_scope(ctx.q, ctx.exact)
-    k, gram = falling_order(k), scope.gram(ctx.alphas[check_component(i, ctx)])
+    k, alpha = falling_order(k), ctx.alphas[check_component(i, ctx)]
     coeffs = to_falling_basis(p, ctx).coeffs
-    return dot(coeffs, [gram(j, k) for j in range(len(coeffs))], scope.zero)
+    if not ctx.exact:
+        gram = scope.gram(alpha)
+        return dot(coeffs, [gram(j, k) for j in range(len(coeffs))], scope.zero)
+    if not coeffs:
+        return scope.zero
+    gram = scope.gram_numerators(alpha)
+    numerators, scale = _over_lcm(coeffs)
+    b, w, top = alpha.denominator, ctx.q.denominator, len(coeffs) - 1
+    step, factor, total = b * w ** (k + 1), 1, 0
+    for j in range(top, -1, -1):
+        if numerators[j]:
+            total += numerators[j] * gram(j, k) * factor
+        factor *= step
+    return Fraction(total, scale * b ** (top + k) * w ** (top * k + top + k))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +295,9 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
     Lower neighbors off the walked chain are built through the same
     recurrence (memoized per `active_key`), never through the linear system, so
     this route stays independent of the oracle.  The result is
-    path-independent, exactly.
+    path-independent, exactly.  On exact contexts every step works on the
+    integer polynomials T(m) C_m (`_recurrence_poly`), and only the result
+    is divided by T(index).
     """
     index = check_index(index, ctx)
     ctx.require_nondegenerate(index)
@@ -282,13 +308,27 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
         for k in index.walk(path):
             poly = _recurrence_step(ctx, current, k, poly)
             current = current.up(k)
+    if ctx.exact:
+        denominator = _known_denominator(ctx, index)
+        poly = LatticePoly.falling([Fraction(c, denominator) for c in poly.coeffs])
     poly = from_falling_basis(poly, ctx)
     return QCharlierPoly(ctx, index, _monic(poly, index, ctx, "recurrence"), "recurrence")
 
 
+def _known_denominator(ctx: QContext, index: MultiIndex) -> int:
+    """T(n) = w^D(n) prod_i b_i^(n_i), with q = u/w and alpha_i = a_i/b_i in
+    lowest terms and D(n) = sum_{i <= j} n_i n_j: T(n) C_n has integer
+    falling coefficients.  It reads only q and `active_key`."""
+    value = ctx.q.denominator ** ((index.weight ** 2 + sum(n * n for n in index)) // 2)
+    for a, n in zip(ctx.alphas, index):
+        value *= a.denominator ** n
+    return value
+
+
 @scoped_memo
 def _recurrence_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
-    """C_index by the recurrence, in the falling basis."""
+    """C_index by the recurrence, in the falling basis; on exact contexts
+    the integer polynomial T(index) C_index (`_known_denominator`)."""
     if index.weight == 0:
         return LatticePoly.one(FALLING)
     k = next(i for i, ni in enumerate(index) if ni > 0)
@@ -297,15 +337,39 @@ def _recurrence_poly(ctx: QContext, index: MultiIndex) -> LatticePoly:
 
 
 def _recurrence_step(ctx: QContext, prev: MultiIndex, k: int, prev_poly: LatticePoly) -> LatticePoly:
-    # C_{m+e_k} = X C_m - b C_m - sum_i d_i C_{m-e_i}; the d_i read the
-    # same polynomials the step subtracts, C_m and its down neighbors
+    """C_{m+e_k} = X C_m - b C_m - sum_i d_i C_{m-e_i}, m = prev; the d_i
+    read the same polynomials the step subtracts, C_m and its down
+    neighbors.
+
+    On exact contexts those are the integer P_m = T(m) C_m, so the d_i come
+    back as d_i T(m)/T(m-e_i), and the step is
+
+        P_{m+e_k} = w^(|m|+m_k+1) b_k (X P_m - b P_m - sum_i d_i P_{m-e_i}),
+
+    since T(m+e_k)/T(m) = w^(|m|+m_k+1) b_k: integer combinations over one
+    denominator (`falling_recurrence_numerators`) and one exact division per
+    coefficient.  A remainder means the step is wrong, and raises
+    ConstructionError naming the index."""
     from .relations import nn_recurrence_coeffs
 
     downs = [(i, prev.down(i)) for i, ni in enumerate(prev.parts) if ni]
     table = {prev: prev_poly, **{m: _recurrence_poly(ctx, m) for _, m in downs}}
     coeffs = nn_recurrence_coeffs(prev, k, ctx, builder=lambda m, _: table[m])
     terms = [(coeffs.b, prev_poly)] + [(coeffs.d[i], table[m]) for i, m in downs]
-    return falling_recurrence(prev_poly, terms, ctx)
+    if not ctx.exact:
+        return falling_recurrence(prev_poly, terms, ctx)
+    numerators, denominator = falling_recurrence_numerators(prev_poly, terms, ctx)
+    scale = ctx.q.denominator ** (prev.weight + prev[k] + 1) * ctx.alphas[k].denominator
+    out = []
+    for j, c in enumerate(numerators):
+        value, rest = divmod(c * scale, denominator)
+        if rest:
+            raise ConstructionError(
+                f"recurrence step to {prev.up(k).parts}: falling coefficient {j} of "
+                f"T(n) C_n is not an integer"
+            )
+        out.append(value)
+    return LatticePoly.falling(out)
 
 
 def build(index, ctx: QContext, method: str = "linear_system") -> QCharlierPoly:

@@ -472,23 +472,49 @@ def falling_order(k: int) -> int:
 
 def falling_mul_falling(p: LatticePoly, ctx: QContext) -> LatticePoly:
     """X p for a falling-basis p, staying in the basis, through the exact
-    rewrite X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m): O(deg)."""
+    rewrite X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m): O(deg).
+
+    Exact contexts sum integers: with q = u/w in lowest terms, q^m = u^m/w^m
+    and x(m) = N_m/w^(m-1), N_m = (u^m - w^m)/(u - w), so X p is an integer
+    polynomial over C w^(L-1), L = len(p) and C the lcm of the input
+    denominators; each output coefficient is one `Fraction`.  Float contexts
+    run the rewrite on scalars, in the old order."""
     if p.basis != FALLING:
         raise ValueError("falling_mul_falling expects the falling basis")
-    scope = memo_scope(ctx.q, ctx.exact)
-    out = [scope.zero] * (len(p.coeffs) + 1)
-    for m, c in enumerate(p.coeffs):
-        out[m + 1] += c * scope.qpow(m)
-        out[m] += c * scope.x(m)
-    return LatticePoly.falling(out)
+    if not ctx.exact:
+        scope = memo_scope(ctx.q, ctx.exact)
+        out = [scope.zero] * (len(p.coeffs) + 1)
+        for m, c in enumerate(p.coeffs):
+            out[m + 1] += c * scope.qpow(m)
+            out[m] += c * scope.x(m)
+        return LatticePoly.falling(out)
+    if not p.coeffs:
+        return p
+    u, w = ctx.q.numerator, ctx.q.denominator
+    numerators, scale = _over_lcm(p.coeffs)
+    top = len(numerators) - 1
+    upow, wpow = [u ** k for k in range(top + 2)], [w ** k for k in range(top + 2)]
+    out = [0] * (top + 2)
+    for m, c in enumerate(numerators):
+        if c:
+            out[m + 1] += c * upow[m] * wpow[top - m]
+            out[m] += c * ((upow[m] - wpow[m]) // (u - w)) * wpow[top - m + 1]
+    denominator = scale * wpow[top]
+    return LatticePoly.falling([Fraction(c, denominator) for c in out])
 
 
 def falling_recurrence(p: LatticePoly, terms, ctx: QContext) -> LatticePoly:
     """X p - sum a r over the (a, r) in `terms` with a != 0, all in the
-    falling basis: X p by `falling_mul_falling`, then one sum (`dot`) per
+    falling basis, X p by `falling_mul_falling`.
+
+    Exact contexts take the numerators of `falling_recurrence_numerators`,
+    one `Fraction` per coefficient.  Float contexts take one sum (`dot`) per
     coefficient over the terms that reach it, in the order given, so float
     digits are those of the chain X p - a_1 r_1 - ...
     """
+    if ctx.exact:
+        numerators, denominator = falling_recurrence_numerators(p, terms, ctx)
+        return LatticePoly.falling([Fraction(c, denominator) for c in numerators])
     top = falling_mul_falling(p, ctx).coeffs
     terms = [(a, r.coeffs) for a, r in terms if a != 0]
     out = []
@@ -499,6 +525,31 @@ def falling_recurrence(p: LatticePoly, terms, ctx: QContext) -> LatticePoly:
     return LatticePoly.falling(out)
 
 
+def falling_recurrence_numerators(p: LatticePoly, terms, ctx: QContext) -> tuple:
+    """Exact contexts: X p - sum a r, as in `falling_recurrence`, returned
+    as (integer numerators, denominator).
+
+    The denominator is the lcm of those of X p (from `falling_mul_falling`)
+    and of a R_a for each term, R_a the lcm of the denominators of r; it is
+    taken once per call, and the rest is integer arithmetic.  The recurrence
+    route hands over integer polynomials, so R_a = 1 and the denominator is
+    a power of w times the lcm of the denominators of the a.
+    """
+    top = falling_mul_falling(p, ctx).coeffs
+    terms = [(a, r.coeffs, math.lcm(*(c.denominator for c in r.coeffs))) for a, r in terms if a != 0]
+    denominator = math.lcm(
+        *(c.denominator for c in top), *(a.denominator * scale for a, _, scale in terms)
+    )
+    out = [c.numerator * (denominator // c.denominator) for c in top]
+    out += [0] * (max([len(out)] + [len(r) for _, r, _ in terms]) - len(out))
+    for a, r, scale in terms:
+        factor = a.numerator * (denominator // (a.denominator * scale))
+        for j, c in enumerate(r):
+            if c:
+                out[j] -= factor * (c.numerator * (scale // c.denominator))
+    return out, denominator
+
+
 class MemoScope:
     """Memo tables shared by every context at one q and scalar backend.
 
@@ -506,13 +557,14 @@ class MemoScope:
     the falling-factorial polynomials [s]^(k), on an exact scope with their
     integer rows (`falling_numerators`) beside them.  What depends on (alpha, q):
     one Gram table of unit pairings Lambda([s]^(j)[s]^(k)) per alpha
-    (`gram`).  `memos` holds the tables of the functions wrapped by
+    (`gram`), on an exact scope with its integer table (`gram_numerators`)
+    beside it.  `memos` holds the tables of the functions wrapped by
     `scoped_memo`, all keyed by `active_key`: the oracle's solutions and LU
-    factors, the recurrence route's polynomials and the oracle's down
-    coefficients.  Each table is arithmetic, read through its method; no
+    factors, the recurrence route's polynomials (T(n) C_n on exact scopes)
+    and the oracle's down coefficients.  Each table is arithmetic, read through its method; no
     guard keeps a decision here.  Exact and float scopes fill their tables
-    by the same operations, so they differ only in the scalar type; cached
-    values are the ones the uncached code would compute.
+    by the same recurrences at the same keys, an exact one on integer
+    numerators; cached values are the ones the uncached code would compute.
     """
 
     def __init__(self, q: Scalar, exact: bool):
@@ -526,6 +578,8 @@ class MemoScope:
         # exact scopes: the integer rows P_k of [s]^(k) = P_k(X)/u^C(k,2)
         self._numerators = [[1]] if exact else None
         self._grams = {}
+        # exact scopes: the integer Gram tables beside the entries of `_grams`
+        self._exact_grams = {}
         self.memos = {}
 
     def qpow(self, m: int) -> Scalar:
@@ -587,12 +641,30 @@ class MemoScope:
             G(j, k+1) = q^(-k) (q^j G(j+1, k) + (x(j) - x(k)) G(j, k)),
 
         from G(j, 0) = (alpha q)^j = G(j-1, 0) G(1, 0), which is Lambda [s]^(j)
-        itself: O(1) per entry, on exact and float scopes alike.
+        itself: O(1) per entry.  A float scope runs it on floats.  An exact
+        scope runs it on the integer table (`gram_numerators`) and makes
+        each entry one `Fraction` of its integer; both tables hold the keys
+        the float recurrence visits.
         """
+        if self._numerators is not None:
+            return self._exact_gram(alpha).value
         table = self._grams.get(alpha)
         if table is None:
             table = self._grams[alpha] = {(0, 0): self.one, (1, 0): alpha * self.q}
         return functools.partial(self._pairing, table)
+
+    def gram_numerators(self, alpha: Scalar) -> Callable[[int, int], int]:
+        """Exact scopes: (j, k) -> the integer g(j, k) with
+        G(j, k) = g(j, k)/(b^(j+k) w^(jk+j+k)), where q = u/w and
+        alpha = a/b in lowest terms (`_ExactGram`)."""
+        return self._exact_gram(alpha).numerator
+
+    def _exact_gram(self, alpha: Scalar) -> "_ExactGram":
+        table = self._exact_grams.get(alpha)
+        if table is None:
+            values = self._grams[alpha] = {(0, 0): self.one, (1, 0): alpha * self.q}
+            table = self._exact_grams[alpha] = _ExactGram(alpha, self.q, values)
+        return table
 
     def _pairing(self, table: dict, j: int, k: int) -> Scalar:
         key = (j, k)
@@ -604,6 +676,55 @@ class MemoScope:
                     self.qpow(j) * self._pairing(table, j + 1, k - 1)
                     + (self.x(j) - self.x(k - 1)) * self._pairing(table, j, k - 1)
                 )
+            table[key] = value
+        return table[key]
+
+
+class _ExactGram:
+    """The Gram table of one alpha = a/b at q = u/w (both in lowest terms)
+    on integers: G(j, k) = g(j, k)/(b^(j+k) w^(jk+j+k)), with
+
+        g(j, 0) = (a u)^j,
+        g(j, k+1) = [u^j g(j+1, k) + b (N_j w^(k+2) - N_k w^(j+2)) g(j, k)] / u^k,
+
+    N_j = (u^j - w^j)/(u - w), the scope's recurrence cleared of its
+    denominators; the division by u^k is exact.  `values` holds the
+    `Fraction` entries, made only when read through `value`, at the keys
+    the float recurrence visits; the moment pairing reads integers only."""
+
+    def __init__(self, alpha: Fraction, q: Fraction, values: dict):
+        self.a, self.b = alpha.numerator, alpha.denominator
+        self.u, self.w = q.numerator, q.denominator
+        self.values = values
+        self.numerators = {(0, 0): 1, (1, 0): self.a * self.u}
+
+    def value(self, j: int, k: int) -> Fraction:
+        values = self.values
+        key = (j, k)
+        if key not in values:
+            if k == 0:
+                self.value(j - 1, 0)
+            else:
+                self.value(j + 1, k - 1)
+                self.value(j, k - 1)
+            denominator = self.b ** (j + k) * self.w ** (j * k + j + k)
+            values[key] = Fraction(self.numerator(j, k), denominator)
+        return values[key]
+
+    def numerator(self, j: int, k: int) -> int:
+        table = self.numerators
+        key = (j, k)
+        if key not in table:
+            u, w, b = self.u, self.w, self.b
+            if k == 0:
+                value = self.numerator(j - 1, 0) * table[1, 0]
+            else:
+                m = k - 1  # g(j, m+1) from g(j+1, m) and g(j, m)
+                lattice_j, lattice_m = (u ** j - w ** j) // (u - w), (u ** m - w ** m) // (u - w)
+                value = (
+                    u ** j * self.numerator(j + 1, m)
+                    + b * (lattice_j * w ** (m + 2) - lattice_m * w ** (j + 2)) * self.numerator(j, m)
+                ) // u ** m
             table[key] = value
         return table[key]
 

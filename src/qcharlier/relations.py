@@ -30,7 +30,9 @@ coefficients are the recurrence's b and d_i rewritten, so one d path serves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from .constructors import build_linear_system, check_index, moment_pairing
@@ -97,6 +99,11 @@ def nn_recurrence_coeffs(
     coefficients making the relation exact.  The d_i do not depend on k:
     read from the oracle, they are kept once per `active_key` in the memo
     scope; a builder's are computed on every call.
+
+    A builder may hand over integer numerators P_m = T(m) C_m in place of
+    the polynomials (the recurrence route does, with T(m) its known
+    denominator).  The ratios then come back as d_i T(m)/T(m - e_i), which
+    are the coefficients of the scaled relation; b reads no polynomial.
     """
     index = check_index(index, ctx, k)
     b = _nn_b_closed_form(index, k, ctx)
@@ -106,7 +113,8 @@ def nn_recurrence_coeffs(
 
 
 def _nn_d(index: MultiIndex, ctx: QContext, builder: Optional[Builder]) -> Tuple[Scalar, ...]:
-    """The d_i of the nonzero n_i, in component order."""
+    """The d_i of the nonzero n_i, in component order; on an exact context
+    q^(n_i - 1) num/den is one `Fraction` of integers."""
     build = _falling(builder)
     poly = build(index, ctx)
     d = []
@@ -114,7 +122,11 @@ def _nn_d(index: MultiIndex, ctx: QContext, builder: Optional[Builder]) -> Tuple
         if ni:
             num = moment_pairing(poly, ni, i, ctx)
             den = moment_pairing(build(index.down(i), ctx), ni - 1, i, ctx)
-            d.append(ctx.q ** (ni - 1) * num / den)
+            if ctx.exact:
+                u, w = ctx.q.numerator ** (ni - 1), ctx.q.denominator ** (ni - 1)
+                d.append(Fraction(u * num.numerator * den.denominator, w * num.denominator * den.numerator))
+            else:
+                d.append(ctx.q ** (ni - 1) * num / den)
     return tuple(d)
 
 
@@ -124,11 +136,40 @@ def _oracle_nn_d(ctx: QContext, index: MultiIndex) -> Tuple[Scalar, ...]:
 
 
 def _nn_b_closed_form(index: MultiIndex, k: int, ctx: QContext) -> Scalar:
-    b = ctx.alphas[k] * ctx.q ** (index.weight + index[k] + 1)
+    """The closed-form b of `nn_recurrence_coeffs`.
+
+    On an exact context, q = u/w and alpha_i = a_i/b_i in lowest terms and
+    x(n) = N_n/w^(n-1), N_n = (u^n - w^n)/(u - w), make the k-th term
+    a_k u^e/(b_k w^e), e = |n| + n_k + 1, and the i-th
+
+        u^P N_(n_i) [(u - w) a_i u^S + b_i w^(S+1)] / (b_i w^(|n| + n_i)),
+
+    P = n_1 + .. + n_(i-1), S = n_i + .. + n_r.  So b is an integer over
+    w^E prod_i b_i, E = |n| + max(n_k + 1, max n_i), built as one
+    `Fraction`.  A float context keeps the expression on scalars.
+    """
+    if not ctx.exact:
+        b = ctx.alphas[k] * ctx.q ** (index.weight + index[k] + 1)
+        for i, ni in enumerate(index):
+            bracket = (ctx.q - 1) * ctx.alphas[i] * ctx.q ** index.suffix_weight(i) + 1
+            b += ctx.q ** index.prefix_weight(i) * x_of(ni, ctx) * bracket
+        return b
+    u, w, n = ctx.q.numerator, ctx.q.denominator, index.weight
+    nums = [a.numerator for a in ctx.alphas]
+    dens = [a.denominator for a in ctx.alphas]
+    whole = math.prod(dens)
+    top = n + max(index[k] + 1, *index.parts)
+    e = n + index[k] + 1
+    total = nums[k] * u ** e * (whole // dens[k]) * w ** (top - e)
+    prefix = 0
     for i, ni in enumerate(index):
-        bracket = (ctx.q - 1) * ctx.alphas[i] * ctx.q ** index.suffix_weight(i) + 1
-        b += ctx.q ** index.prefix_weight(i) * x_of(ni, ctx) * bracket
-    return b
+        if ni:
+            suffix = n - prefix
+            bracket = (u - w) * nums[i] * u ** suffix + dens[i] * w ** (suffix + 1)
+            lattice = (u ** ni - w ** ni) // (u - w)
+            total += u ** prefix * lattice * bracket * (whole // dens[i]) * w ** (top - n - ni)
+        prefix += ni
+    return Fraction(total, whole * w ** top)
 
 
 def verify_nn_recurrence(

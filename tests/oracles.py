@@ -8,11 +8,12 @@ the closed form of the recurrence's down coefficients, the lowering and
 step-line coefficients peeled off the polynomials by moment ratios and by
 degree (the package uses their closed forms), the single-family form of
 the difference equation, the classical difference identity, and a dense
-Gauss-Jordan solve of the orthogonality system.  Four are the slower
-second paths to what a package kernel computes more cheaply: the Gram entry
-by the expanded falling product, Horner's rule on scalars, the explicit
-r-fold sum term by term, and the basis conversions through a table of
-`Fraction` products.  None of them is reached by a command, so they
+Gauss-Jordan solve of the orthogonality system.  The others are the
+slower second paths to what a package kernel computes more cheaply: the
+Gram entry by the expanded falling product and by its recurrence on
+`Fraction`s, Horner's rule on scalars, the explicit r-fold sum term by
+term, the basis conversions through a table of `Fraction` products, and
+X p and the recurrence's b term by term on scalars.  None of them is reached by a command, so they
 live here rather than in the package.
 """
 
@@ -287,6 +288,23 @@ def nn_recurrence_coeffs_product_form(index, k, ctx):
     return NNRecurrenceCoeffs(k=k, b=b, d=tuple(d))
 
 
+def nn_b_by_fractions(index, k, ctx):
+    """The closed-form b of `nn_recurrence_coeffs` as an expression on
+    scalars, term by term,
+
+        b = alpha_k q^(|n|+n_k+1) + sum_i q^(n_1+..+n_(i-1)) x(n_i)
+            [(q-1) alpha_i q^(n_i+..+n_r) + 1];
+
+    float contexts run it in the package, and it is the reference for the
+    exact one built from integers in one normalization."""
+    index = MultiIndex.coerce(index)
+    b = ctx.alphas[k] * ctx.q ** (index.weight + index[k] + 1)
+    for i, ni in enumerate(index):
+        bracket = (ctx.q - 1) * ctx.alphas[i] * ctx.q ** index.suffix_weight(i) + 1
+        b += ctx.q ** index.prefix_weight(i) * x_of(ni, ctx) * bracket
+    return b
+
+
 def lowering_coeffs_product_form(index, ctx):
     """q^(|n| - n_i + 1/2) [n_i]_q; exact only when at most one component is
     positive (negative control elsewhere)."""
@@ -454,6 +472,45 @@ def gram_by_expansion(ctx, i, j, k):
     by the factors of [s]^(k) and contracted with the moments; the
     reference for the three-term recurrence of the exact Gram table."""
     return expanded_pairing(LatticePoly.falling((Fraction(0),) * j + (Fraction(1),)), k, i, ctx)
+
+
+def gram_by_fraction_recurrence(alpha, q):
+    """(j, k) -> Lambda([s]^(j) [s]^(k)) at weight parameter alpha by the
+    three-term recurrence of `MemoScope.gram` on `Fraction`s,
+
+        G(j, k+1) = q^(-k) (q^j G(j+1, k) + (x(j) - x(k)) G(j, k)),
+        G(j, 0) = (alpha q)^j,
+
+    the reference for the exact scope's integer table.  Float scopes run
+    this recurrence in the package."""
+    table = {(0, 0): Fraction(1), (1, 0): alpha * q}
+
+    def x(s):
+        return (q ** s - 1) / (q - 1)
+
+    def entry(j, k):
+        if (j, k) not in table:
+            if k == 0:
+                value = entry(j - 1, 0) * table[1, 0]
+            else:
+                value = q ** (1 - k) * (
+                    q ** j * entry(j + 1, k - 1) + (x(j) - x(k - 1)) * entry(j, k - 1)
+                )
+            table[j, k] = value
+        return table[j, k]
+
+    return entry
+
+
+def falling_mul_by_scalars(p, ctx):
+    """X p in the falling basis by X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m),
+    term by term on scalars: the float path of `falling_mul_falling`, and
+    the reference for its exact path on integers."""
+    out = [ctx.zero()] * (len(p.coeffs) + 1)
+    for m, c in enumerate(p.coeffs):
+        out[m + 1] += c * ctx.q ** m
+        out[m] += c * x_of(m, ctx)
+    return LatticePoly.falling(out)
 
 
 def dense_oracle(index, ctx):

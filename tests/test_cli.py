@@ -224,6 +224,23 @@ def test_verify_refuses_a_negative_coefficient_index(capsys):
     assert err == "error: --inject-defect 1,1:-1: coefficient index -1 is negative\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--n", "1,x"], "--n 1,x: part 'x' is not an integer"),
+    (["gen", "--n", "1.5,2"], "--n 1.5,2: part '1.5' is not an integer"),
+    (["zeros", "--n", "2,y"], "--n 2,y: part 'y' is not an integer"),
+    (["limit", "--n", ",2"], "--n ,2: part '' is not an integer"),
+    (["limit", "--m-list", "2,x"], "--m-list 2,x: part 'x' is not an integer"),
+    (["verify", "--inject-defect", "1,x:1"], "--inject-defect 1,x:1: part 'x' is not an integer"),
+    (["verify", "--inject-defect", "1,1:x"], "--inject-defect 1,1:x: part 'x' is not an integer"),
+    (["verify", "--inject-defect", "1,1:2,3"], "--inject-defect 1,1:2,3: part '2,3' is not an integer"),
+])
+def test_a_malformed_integer_list_names_its_flag_and_part(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_refuses_a_run_that_checks_nothing(capsys):
     # step-line needs r = 2, so at rmax = 1 the suite has no check to run
     code, out, err = run_cli(capsys, "verify", "--suite", "stepline", "--rmax", "1")

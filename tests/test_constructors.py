@@ -1,6 +1,7 @@
 """Construction routes: examples, cross-method agreement, and the moments."""
 
 import cProfile
+import dataclasses
 import itertools
 import pstats
 import re
@@ -19,6 +20,7 @@ from oracles import (
     weight_partial_sums,
 )
 from qcharlier import (
+    MultiIndex,
     QContext,
     build,
     build_explicit,
@@ -26,6 +28,7 @@ from qcharlier import (
     build_recurrence,
     build_rodrigues,
     constructors,
+    relations,
     rodrigues_constant,
 )
 from qcharlier.cli import _exact_shadow
@@ -154,6 +157,76 @@ def test_recurrence_paths_give_the_default_monomial_polynomial(ctx3):
             walked = build_recurrence(parts, ctx3, path=path).poly
             assert walked.basis == MONOMIAL
             assert walked == default
+
+
+@pytest.mark.parametrize("t, alphas", [
+    ("9/10", ["1/2", "3/5", "7/10"]),
+    ("4/3", ["1/3", "5/2", "9/7"]),
+    ("59/67", ["53/59", "61/67", "73/79"]),
+])
+def test_recurrence_paths_equal_the_oracle(clear_caches, t, alphas):
+    clear_caches()
+    ctx = QContext.from_t(t, alphas)
+    for parts in [(2, 1, 1), (0, 3, 1), (1, 0, 2)]:
+        oracle = build_linear_system(parts, ctx).poly
+        steps = [i for i, n in enumerate(parts) for _ in range(n)]
+        for path in sorted(set(itertools.permutations(steps))):
+            assert build_recurrence(parts, ctx, path=path).poly == oracle, (t, parts, path)
+
+
+#: r = 1..3 grids whose oracle solutions T(n) must clear
+CLEARED_INDICES = (
+    [(n,) for n in range(9)] + [(12,)]
+    + list(itertools.product(range(5), repeat=2)) + [(6, 6)]
+    + list(itertools.product(range(3), repeat=3)) + [(3, 3, 3), (4, 4, 4)]
+)
+
+
+@pytest.mark.parametrize("ctx", [
+    QContext.from_t("9/10", ["1/2", "3/5", "7/10"]),
+    QContext.from_t("4/3", ["1/3", "5/2", "9/7"]),
+    QContext.from_t("7/5", ["2", "3/4", "5/9"]),
+    _exact_shadow(QContext.from_q_float(0.74, [0.35, 0.55, 0.8])),
+], ids=["9/10", "4/3", "7/5", "shadow-0.74"])
+def test_known_denominator_clears_the_oracle(clear_caches, ctx):
+    # T(n) = w^D(n) prod_i b_i^(n_i) times the oracle's falling solution is
+    # an integer polynomial, and it is what the recurrence route keeps
+    clear_caches()
+    for parts in CLEARED_INDICES:
+        sub = ctx.with_all_alphas(ctx.alphas[:len(parts)])
+        index = MultiIndex(parts)
+        scale = constructors._known_denominator(sub, index)
+        cleared = [scale * c for c in build_linear_system(parts, sub, FALLING).poly.coeffs]
+        assert all(c.denominator == 1 for c in cleared), parts
+        kept = constructors._recurrence_poly(sub, index).coeffs
+        assert list(kept) == cleared, parts
+
+
+@pytest.mark.parametrize("field", ["b", "d"])
+def test_a_perturbed_step_coefficient_fails_the_integrality_check(clear_caches, monkeypatch, field):
+    # b or d_1 of the step (1, 1) -> (2, 1) moved by 1/10^6 leaves a
+    # remainder in the step's exact division (no power of w = 9 or of the
+    # weights' denominators 3 and 7 absorbs 10^6), on the default route and
+    # on a path through that step
+    ctx = QContext.from_t("4/3", ["1/3", "5/7"])
+    original = relations.nn_recurrence_coeffs
+
+    def perturbed(index, k, ctx, builder=None):
+        coeffs = original(index, k, ctx, builder=builder)
+        if MultiIndex.coerce(index).parts != (1, 1) or k != 0:
+            return coeffs
+        bump = Fraction(1, 10 ** 6)
+        if field == "b":
+            return dataclasses.replace(coeffs, b=coeffs.b + bump)
+        return dataclasses.replace(coeffs, d=(coeffs.d[0] + bump,) + coeffs.d[1:])
+
+    monkeypatch.setattr(relations, "nn_recurrence_coeffs", perturbed)
+    for path in (None, [1, 0, 0]):
+        clear_caches()
+        with pytest.raises(ConstructionError, match=re.escape("recurrence step to (2, 1)")):
+            build_recurrence((2, 1), ctx, path=path)
+    clear_caches()
+    build_recurrence((1, 2), ctx)  # a build that never takes the step is untouched
 
 
 def test_recurrence_path_validation(ctx2):
@@ -302,15 +375,15 @@ def _gram_entries(scope):
 
 
 #: Ceilings on the math.gcd calls of one cold (10, 10) build at t = 9/10,
-#: alphas (1/2, 3/5), counted with CPython 3.11's fractions module.  With one
-#: normalization per exact sum (`qkernels.dot`) and basis conversions on
-#: integer numerators (one `Fraction` per output coefficient) the counts are
-#: 5,684 (system) and 12,468 (recurrence, which skips the identity factor of
-#: X = [s]^(1) at j = 0).  Converting through the table of `Fraction` rows
-#: gave 6,172 and 12,956; summing term by term again, in the constructors or
-#: in the basis conversions alone, gives at least 8,375 and 18,587;
-#: normalizing every term everywhere gave 19,372 and 37,361.
-GCD_CEILINGS = {"linear_system": 6_000, "recurrence": 12_800}
+#: alphas (1/2, 3/5), counted with CPython 3.11's fractions module.  With the
+#: Gram table, the moment pairing, X p and the recurrence steps on integer
+#: numerators over known denominators, and b and each d_i one `Fraction`,
+#: the counts are 1,622 (system) and 1,395 (recurrence).  With one
+#: normalization per exact sum (`qkernels.dot`) there, and the basis
+#: conversions already on integers, they were 5,684 and 12,468; converting
+#: through the table of `Fraction` rows gave 6,172 and 12,956; normalizing
+#: every term everywhere gave 19,372 and 37,361.
+GCD_CEILINGS = {"linear_system": 1_700, "recurrence": 1_450}
 
 
 @pytest.mark.parametrize("method", sorted(GCD_CEILINGS))

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     compose_affine_horner,
+    falling_mul_by_scalars,
     falling_product,
     falling_table_by_products,
     from_falling_by_table,
     gram_by_expansion,
+    gram_by_fraction_recurrence,
     q_binomial,
     q_factorial,
     to_falling_by_table,
@@ -41,6 +43,7 @@ from qcharlier.qkernels import (
     falling_factorial_poly,
     falling_mul_falling,
     falling_recurrence,
+    falling_recurrence_numerators,
     from_falling_basis,
     memo_scope,
     to_falling_basis,
@@ -446,6 +449,79 @@ def test_exact_gram_recurrence_matches_expanded_product(clear_caches, t, alphas)
             assert gram(j, k) == gram_by_expansion(ctx, i, j, k), (i, j, k)
 
 
+#: weights: ratios of two-digit primes, and a few small ones
+GRAM_ALPHAS = st.one_of(
+    st.builds(Fraction, st.sampled_from(TWO_DIGIT_PRIMES), st.sampled_from(TWO_DIGIT_PRIMES)),
+    st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(3, 5)]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    CONVERSION_QS,
+    GRAM_ALPHAS,
+    st.lists(st.tuples(st.integers(0, 21), st.integers(0, 21)), min_size=1, max_size=3),
+)
+def test_integer_gram_table_equals_the_fraction_recurrence(q, alpha, keys):
+    # g(j, k)/(b^(j+k) w^(jk+j+k)) and the Fraction entries, against the
+    # recurrence on Fractions, at every entry the integer recursion filled
+    memo_scope.cache_clear()
+    scope = memo_scope(q, True)
+    reference = gram_by_fraction_recurrence(alpha, q)
+    numerators, gram = scope.gram_numerators(alpha), scope.gram(alpha)
+    b, w = alpha.denominator, q.denominator
+    for j, k in keys:
+        assert gram(j, k) == reference(j, k), (j, k)
+    filled = scope._exact_grams[alpha].numerators
+    assert set(keys) <= set(filled)
+    for j, k in filled:
+        assert Fraction(numerators(j, k), b ** (j + k) * w ** (j * k + j + k)) == reference(j, k)
+    assert set(scope._grams[alpha]) <= set(filled)
+
+
+@pytest.mark.parametrize("q, alpha", [
+    (Fraction(0.74), Fraction(0.35)),
+    (Fraction(59, 67), Fraction(53, 59)),
+    (Fraction(97, 89), Fraction(2)),
+])
+def test_integer_gram_table_fills_the_whole_square(q, alpha):
+    # j, k <= 21 throughout, on an exact shadow of binary q, at alpha's
+    # denominator equal to q's numerator, and at q > 1 with an integer alpha
+    memo_scope.cache_clear()
+    numerators = memo_scope(q, True).gram_numerators(alpha)
+    reference = gram_by_fraction_recurrence(alpha, q)
+    b, w = alpha.denominator, q.denominator
+    for j, k in itertools.product(range(22), repeat=2):
+        assert Fraction(numerators(j, k), b ** (j + k) * w ** (j * k + j + k)) == reference(j, k)
+
+
+def test_exact_gram_entries_keep_the_keys_of_the_float_recurrence(clear_caches):
+    # an exact scope makes a Fraction entry only where the float recurrence
+    # would, and the moment pairing's integer reads make none
+    clear_caches()
+    ctx = QContext.from_q_float(0.81, [0.5])
+    memo_scope(ctx.q, ctx.exact).gram(ctx.alphas[0])(7, 5)
+    float_keys = set(memo_scope(ctx.q, ctx.exact)._grams[ctx.alphas[0]])
+    exact = memo_scope(Fraction(ctx.q), True)
+    alpha = Fraction(ctx.alphas[0])
+    exact.gram_numerators(alpha)(9, 6)
+    assert set(exact._grams[alpha]) == {(0, 0), (1, 0)}
+    exact.gram(alpha)(7, 5)
+    assert set(exact._grams[alpha]) == float_keys
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    CONVERSION_QS,
+    st.one_of(CONVERSION_COEFFS, st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=22)),
+)
+def test_exact_falling_mul_falling_equals_the_scalar_rewrite(q, coeffs):
+    memo_scope.cache_clear()
+    ctx = QContext(t=Fraction(1), q=q, alphas=(Fraction(1, 2),), exact=True)
+    p = LatticePoly.falling(coeffs)
+    assert falling_mul_falling(p, ctx) == falling_mul_by_scalars(p, ctx)
+
+
 RATIONALS = st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=30)
 
 
@@ -548,6 +624,22 @@ def test_falling_recurrence_equals_the_chained_expression_on_rationals(case):
     p, terms = case
     ctx = QContext.from_t("9/10", ["1/2"])
     assert falling_recurrence(p, terms, ctx) == _chained_recurrence(p, terms, ctx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONVERSION_QS, _falling_case(EXACT))
+def test_recurrence_numerators_equal_the_chained_expression_by_scalars(q, case):
+    # integers over one denominator, against X p by the scalar rewrite and
+    # one `scale` and `-` per term
+    p, terms = case
+    memo_scope.cache_clear()
+    ctx = QContext(t=Fraction(1), q=q, alphas=(Fraction(1, 2),), exact=True)
+    numerators, denominator = falling_recurrence_numerators(p, terms, ctx)
+    assert all(type(c) is int for c in numerators)
+    expected = falling_mul_by_scalars(p, ctx)
+    for a, r in terms:
+        expected = expected - r.scale(a)
+    assert LatticePoly.falling([Fraction(c, denominator) for c in numerators]) == expected
 
 
 @settings(max_examples=100, deadline=None)

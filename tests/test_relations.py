@@ -6,11 +6,14 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     diff_eq_residual_single_family,
     lowering_coeffs_by_moments,
     lowering_coeffs_product_form,
+    nn_b_by_fractions,
     nn_b_projection,
     nn_d_closed_form,
     nn_recurrence_coeffs_product_form,
@@ -115,6 +118,35 @@ def test_nn_b_closed_form_matches_projection(ctx3):
         for k in range(3):
             closed = nn_recurrence_coeffs(parts, k, ctx3).b
             assert closed == nn_b_projection(parts, k, ctx3)
+
+
+TWO_DIGIT_PRIMES = [p for p in range(11, 100) if all(p % d for d in range(2, p))]
+PRIME_RATIOS = st.builds(
+    Fraction, st.sampled_from(TWO_DIGIT_PRIMES), st.sampled_from(TWO_DIGIT_PRIMES)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(PRIME_RATIOS, st.floats(0.05, 3.0).map(Fraction)).filter(lambda q: q != 1),
+    st.lists(st.one_of(PRIME_RATIOS, st.integers(1, 9).map(Fraction)), min_size=1, max_size=3),
+    st.data(),
+)
+def test_exact_b_equals_the_scalar_expression(q, alphas, data):
+    # the integer b in one normalization against the expression on
+    # Fractions, with q on both sides of 1 and at exact shadows of binary q
+    ctx = QContext(t=Fraction(1), q=q, alphas=tuple(alphas), exact=True)
+    parts = data.draw(st.lists(st.integers(0, 10), min_size=len(alphas), max_size=len(alphas)))
+    k = data.draw(st.integers(0, len(alphas) - 1))
+    index = MultiIndex(parts)
+    assert relations._nn_b_closed_form(index, k, ctx) == nn_b_by_fractions(index, k, ctx)
+
+
+def test_float_b_keeps_the_scalar_expression():
+    ctx = QContext.from_q_float(0.81, [0.5, 0.6, 0.7])
+    for parts, k in [((3, 2, 1), 0), ((0, 4, 2), 2), ((5, 0, 0), 1)]:
+        got = relations._nn_b_closed_form(MultiIndex(parts), k, ctx)
+        assert repr(got) == repr(nn_b_by_fractions(parts, k, ctx))
 
 
 def test_nn_residuals_vanish(ctx2, ctx3):
