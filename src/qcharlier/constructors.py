@@ -32,8 +32,8 @@ Construction routes:
   in the falling basis, one step of `qkernels.falling_recurrence` (the
   kernel the recurrence checks call) each, its polynomials kept once per
   `active_key`; it converts only the result to monomials.  On exact
-  contexts it keeps integer numerators over the known denominator T(n)
-  and steps on integers (`qkernels.falling_recurrence_numerators`).
+  contexts it keeps the integer polynomials T(n) C_n, T(n) the known
+  denominator, and each step is one exact `falling_recurrence`.
 
 Float contexts run the same algorithms as exact ones, in floats: the same
 Gram recurrence, the same bordered LU and the same falling basis.
@@ -56,11 +56,9 @@ from .qkernels import (
     Scalar,
     binom2,
     _integer,
-    _over_lcm,
     dot,
     falling_order,
     falling_recurrence,
-    falling_recurrence_numerators,
     from_falling_basis,
     memo_scope,
     scoped_memo,
@@ -90,23 +88,23 @@ def moment_pairing(p: LatticePoly, k: int, i: int, ctx: QContext) -> Scalar:
 
     Exact contexts sum integers: with q = u/w and alpha_i = a/b in lowest
     terms, the Gram table holds G(j, k) = g(j, k)/(b^(j+k) w^(jk+j+k))
-    (`MemoScope.gram_numerators`), so with p_j the numerators of the c_j
-    over their lcm C and J the top degree, the pairing is the sum of
-    p_j g(j, k) (b w^(k+1))^(J-j) over C b^(J+k) w^(Jk+J+k), one `Fraction`.
+    (`MemoScope.gram_numerators`), so with p_j/D the falling pair of p and
+    J the top degree, the pairing is the sum of p_j g(j, k) (b w^(k+1))^(J-j)
+    over D b^(J+k) w^(Jk+J+k), one `Fraction`.
     Float contexts read the float Gram table (`MemoScope.gram`) and sum
     with `qkernels.dot`.
     """
     scope = memo_scope(ctx.q, ctx.exact)
     k, alpha = falling_order(k), ctx.alphas[check_component(i, ctx)]
-    coeffs = to_falling_basis(p, ctx).coeffs
+    fall = to_falling_basis(p, ctx)
     if not ctx.exact:
-        gram = scope.gram(alpha)
+        gram, coeffs = scope.gram(alpha), fall.coeffs
         return dot(coeffs, [gram(j, k) for j in range(len(coeffs))], scope.zero)
-    if not coeffs:
+    if fall.is_zero:
         return scope.zero
     gram = scope.gram_numerators(alpha)
-    numerators, scale = _over_lcm(coeffs)
-    b, w, top = alpha.denominator, ctx.q.denominator, len(coeffs) - 1
+    numerators, scale = fall.numerators, fall.denominator
+    b, w, top = alpha.denominator, ctx.q.denominator, fall.degree
     step, factor, total = b * w ** (k + 1), 1, 0
     for j in range(top, -1, -1):
         if numerators[j]:
@@ -256,16 +254,26 @@ def build_explicit(index, ctx: QContext) -> QCharlierPoly:
 
     D(n) = sum_{i <= j} n_i n_j.  The summand is separable: the falling
     coefficients are the convolution of A_1, ..., A_r in that order, each A_i
-    built by the ratio x(n_i-k+1)/x(k) q^(k-1) (-q^-n_i/a_i) per term.  The
-    prefactor is a running product from i = 1 times q^D last, which keeps the
-    float digits of the r = 2 double sum; half-integer powers cancel.
+    built by the ratio x(n_i-k+1)/x(k) q^(k-1) (-q^-n_i/a_i) per term, on an
+    exact context the integer ratio -N_(n-k+1) u^(k-1) w^k b/(N_k u^n a) of
+    integers over (u^n a)^n (q = u/w, a_i = a/b).  The prefactor is a running
+    product from i = 1 times q^D last, which keeps the float digits of the
+    r = 2 double sum; half-integer powers cancel.
     """
     index = check_index(index, ctx)
     ctx.require_nondegenerate(index)
     scope = memo_scope(ctx.q, ctx.exact)
 
-    def terms(n, a):
-        step = -scope.qpow(-n) / a
+    def terms(n, alpha):
+        if ctx.exact:
+            u, w = ctx.q.numerator, ctx.q.denominator
+            a, b = alpha.numerator, alpha.denominator
+            lattice = [(u ** k - w ** k) // (u - w) for k in range(n + 1)]  # N_k
+            out = [(u ** n * a) ** n]
+            for k in range(1, n + 1):
+                out.append(-out[-1] * lattice[n - k + 1] * u ** (k - 1) * w ** k * b // (lattice[k] * u ** n * a))
+            return LatticePoly.pair(MONOMIAL, out, out[0])
+        step = -scope.qpow(-n) / alpha
         out = [ctx.one()]
         for k in range(1, n + 1):
             out.append(out[-1] * (scope.x(n - k + 1) / scope.x(k) * scope.qpow(k - 1) * step))
@@ -276,7 +284,10 @@ def build_explicit(index, ctx: QContext) -> QCharlierPoly:
     for n, a in rest:
         fall, prefactor = fall * terms(n, a), prefactor * (-a) ** n
     prefactor *= ctx.q ** ((index.weight ** 2 + sum(n * n for n in index)) // 2)
-    poly = from_falling_basis(LatticePoly.falling(fall.coeffs), ctx).scale(prefactor)
+    # the convolution's coefficients, read in the falling basis
+    if ctx.exact:
+        fall = LatticePoly.pair(FALLING, fall.numerators, fall.denominator, reduced=True)
+    poly = from_falling_basis(fall if ctx.exact else LatticePoly.falling(fall.coeffs), ctx).scale(prefactor)
     return QCharlierPoly(ctx, index, _monic(poly, index, ctx, "explicit_r2"), "explicit_r2")
 
 
@@ -309,8 +320,7 @@ def build_recurrence(index, ctx: QContext, path: Optional[Sequence[int]] = None)
             poly = _recurrence_step(ctx, current, k, poly)
             current = current.up(k)
     if ctx.exact:
-        denominator = _known_denominator(ctx, index)
-        poly = LatticePoly.falling([Fraction(c, denominator) for c in poly.coeffs])
+        poly = poly.scale(Fraction(1, _known_denominator(ctx, index)))
     poly = from_falling_basis(poly, ctx)
     return QCharlierPoly(ctx, index, _monic(poly, index, ctx, "recurrence"), "recurrence")
 
@@ -346,30 +356,24 @@ def _recurrence_step(ctx: QContext, prev: MultiIndex, k: int, prev_poly: Lattice
 
         P_{m+e_k} = w^(|m|+m_k+1) b_k (X P_m - b P_m - sum_i d_i P_{m-e_i}),
 
-    since T(m+e_k)/T(m) = w^(|m|+m_k+1) b_k: integer combinations over one
-    denominator (`falling_recurrence_numerators`) and one exact division per
-    coefficient.  A remainder means the step is wrong, and raises
-    ConstructionError naming the index."""
+    since T(m+e_k)/T(m) = w^(|m|+m_k+1) b_k.  The reduced pair of
+    `falling_recurrence` times that integer is an integer polynomial exactly
+    when its denominator divides the integer; otherwise the step is wrong,
+    and raises ConstructionError naming the index."""
     from .relations import nn_recurrence_coeffs
 
     downs = [(i, prev.down(i)) for i, ni in enumerate(prev.parts) if ni]
     table = {prev: prev_poly, **{m: _recurrence_poly(ctx, m) for _, m in downs}}
     coeffs = nn_recurrence_coeffs(prev, k, ctx, builder=lambda m, _: table[m])
     terms = [(coeffs.b, prev_poly)] + [(coeffs.d[i], table[m]) for i, m in downs]
+    step = falling_recurrence(prev_poly, terms, ctx)
     if not ctx.exact:
-        return falling_recurrence(prev_poly, terms, ctx)
-    numerators, denominator = falling_recurrence_numerators(prev_poly, terms, ctx)
+        return step
     scale = ctx.q.denominator ** (prev.weight + prev[k] + 1) * ctx.alphas[k].denominator
-    out = []
-    for j, c in enumerate(numerators):
-        value, rest = divmod(c * scale, denominator)
-        if rest:
-            raise ConstructionError(
-                f"recurrence step to {prev.up(k).parts}: falling coefficient {j} of "
-                f"T(n) C_n is not an integer"
-            )
-        out.append(value)
-    return LatticePoly.falling(out)
+    factor, rest = divmod(scale, step.denominator)
+    if rest:
+        raise ConstructionError(f"recurrence step to {prev.up(k).parts}: T(n) C_n is not an integer polynomial")
+    return LatticePoly.pair(FALLING, [c * factor for c in step.numerators], 1)
 
 
 def build(index, ctx: QContext, method: str = "linear_system") -> QCharlierPoly:
@@ -409,7 +413,7 @@ def check_component(i: int, ctx: QContext) -> int:
 
 def _monic(poly: LatticePoly, index: MultiIndex, ctx: QContext, method: str) -> LatticePoly:
     """poly, checked to be monic of degree |n| on exact contexts."""
-    if ctx.exact and (poly.degree != index.weight or poly.leading != 1):
+    if ctx.exact and (poly.degree != index.weight or poly.numerators[-1] != poly.denominator):
         raise ConstructionError(
             f"{method} result for {index.parts} is not monic of degree {index.weight}"
         )

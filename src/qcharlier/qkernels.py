@@ -10,7 +10,11 @@ falling-factorial polynomials [s]^(k) = x(s) x(s-1) ... x(s-k+1).
 
 The falling-basis kernels read their tables from one memo scope per
 (q, backend) (`memo_scope`), which every context at that q shares and which
-is dropped when another q is used.
+is dropped when another q is used.  Exact kernels run on integers: with
+q = u/w in lowest terms, q^m = u^m/w^m and x(m) = N_m/w^(m-1),
+N_m = (u^m - w^m)/(u - w), so each result is integer numerators over a
+known denominator, reduced once into a canonical pair (`LatticePoly.pair`).
+Float kernels keep their scalar loops and operation order.
 """
 
 from __future__ import annotations
@@ -292,16 +296,21 @@ def _rational_dot(pairs, start, sign):
     return Fraction(start.numerator * (denominator // start.denominator) + sign * total, denominator)
 
 
-@dataclass(frozen=True)
 class LatticePoly:
-    """Polynomial in X = x(s), in the monomial or falling-factorial basis.
+    """Polynomial in X = x(s), in the monomial or falling-factorial basis,
+    indexed by degree and trimmed: degree is its length - 1, -1 for zero.
 
-    Coefficients are indexed by degree and kept trimmed, so degree is
-    len(coeffs) - 1 and the zero polynomial has an empty tuple.
+    An exact polynomial is one canonical pair, as in FLINT's fmpq_poly:
+    integer `numerators` over a positive integer `denominator` with
+    gcd(denominator, *numerators) = 1.  Exact kernels run on the pair and
+    reduce once per result (`pair`); equality is a tuple compare, and
+    `coeffs` (reduced `Fraction`s) is built once, when read.  A float
+    polynomial (one built from any float) keeps its tuple in `coeffs`, with
+    `numerators` and `denominator` None, and an operation with a float
+    operand runs on `coeffs` in the old order.  Instances are not mutated.
     """
 
-    basis: str
-    coeffs: Tuple[Scalar, ...]
+    __slots__ = ("basis", "numerators", "denominator", "_coeffs")
 
     def __init__(self, basis: str, coeffs: Iterable[Scalar]):
         if basis not in (MONOMIAL, FALLING):
@@ -309,8 +318,32 @@ class LatticePoly:
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self.basis, self.numerators, self.denominator, self._coeffs = basis, None, None, None
+        if coeffs and isinstance(coeffs[-1], float):  # a float polynomial, told without a scan
+            self._coeffs = tuple(coeffs)
+            return
+        try:
+            denominator = math.lcm(*[c.denominator for c in coeffs])
+        except AttributeError:  # a float below a rational top coefficient
+            self._coeffs = tuple(coeffs)
+            return
+        # reduced fractions over the lcm of their denominators share no factor
+        self.numerators = tuple([c.numerator * (denominator // c.denominator) for c in coeffs])
+        self.denominator = denominator
+
+    @classmethod
+    def pair(cls, basis: str, numerators, denominator: int, reduced: bool = False) -> "LatticePoly":
+        """numerators/denominator (a list of ints, trimmed in place, and an
+        int != 0), reduced by one gcd unless the caller knows it `reduced`."""
+        if not reduced:
+            while numerators and not numerators[-1]:
+                numerators.pop()
+            g = math.gcd(denominator, *numerators) * (-1 if denominator < 0 else 1)
+            if g != 1:
+                numerators, denominator = [c // g for c in numerators], denominator // g
+        poly = object.__new__(cls)
+        poly.basis, poly.numerators, poly.denominator, poly._coeffs = basis, tuple(numerators), denominator, None
+        return poly
 
     @classmethod
     def monomial(cls, coeffs: Iterable[Scalar]) -> "LatticePoly":
@@ -329,16 +362,36 @@ class LatticePoly:
         return cls(basis, (Fraction(1),))
 
     @property
+    def coeffs(self) -> Tuple[Scalar, ...]:
+        if self._coeffs is None:
+            d = self.denominator
+            self._coeffs = tuple([Fraction(c, d) if d != 1 else Fraction(c) for c in self.numerators])
+        return self._coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticePoly):
+            return NotImplemented
+        if self.numerators is None or other.numerators is None:
+            return (self.basis, self.coeffs) == (other.basis, other.coeffs)
+        return (self.basis, self.denominator, self.numerators) == (other.basis, other.denominator, other.numerators)
+
+    def __hash__(self):
+        return hash((self.basis, self.coeffs))
+
+    def __repr__(self):
+        return f"LatticePoly(basis={self.basis!r}, coeffs={self.coeffs!r})"
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.numerators if self.numerators is not None else self._coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     def coefficient(self, k: int) -> Scalar:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k <= self.degree:
             return self.coeffs[k]
         return 0
 
@@ -346,7 +399,9 @@ class LatticePoly:
     def leading(self) -> Scalar:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        if self.numerators is None:
+            return self._coeffs[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     def _check_same(self, other: "LatticePoly"):
         if self.basis != other.basis:
@@ -354,14 +409,23 @@ class LatticePoly:
 
     def _combine(self, op, other: "LatticePoly") -> "LatticePoly":
         self._check_same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return LatticePoly(self.basis, [op(self.coefficient(i), other.coefficient(i)) for i in range(n)])
+        if self.numerators is None or other.numerators is None:
+            n = max(len(self.coeffs), len(other.coeffs))
+            return LatticePoly(self.basis, [op(self.coefficient(i), other.coefficient(i)) for i in range(n)])
+        denominator = math.lcm(self.denominator, other.denominator)
+        fa, fb = denominator // self.denominator, denominator // other.denominator
+        out = [c * fa for c in self.numerators] + [0] * (len(other.numerators) - len(self.numerators))
+        for i, c in enumerate(other.numerators):
+            out[i] = op(out[i], c * fb)
+        return LatticePoly.pair(self.basis, out, denominator)
 
     __add__ = functools.partialmethod(_combine, operator.add)
     __sub__ = functools.partialmethod(_combine, operator.sub)
 
     def scale(self, c: Scalar) -> "LatticePoly":
-        return LatticePoly(self.basis, [c * v for v in self.coeffs])
+        if self.numerators is None or isinstance(c, float):
+            return LatticePoly(self.basis, [c * v for v in self.coeffs])
+        return LatticePoly.pair(self.basis, [c.numerator * v for v in self.numerators], c.denominator * self.denominator)
 
     def __mul__(self, other: "LatticePoly") -> "LatticePoly":
         # plain convolution; only meaningful in the monomial basis
@@ -370,6 +434,12 @@ class LatticePoly:
             raise ValueError("product only defined in the monomial basis")
         if self.is_zero or other.is_zero:
             return LatticePoly.zero()
+        if self.numerators is not None and other.numerators is not None:
+            out = [0] * (self.degree + other.degree + 1)
+            for i, x in enumerate(self.numerators):
+                for j, y in enumerate(other.numerators):
+                    out[i + j] += x * y
+            return LatticePoly.pair(MONOMIAL, out, self.denominator * other.denominator)
         a, b = self.coeffs, other.coeffs
         start = a[0] * 0
         out = []
@@ -381,22 +451,32 @@ class LatticePoly:
     def times_x(self) -> "LatticePoly":
         if self.basis != MONOMIAL:
             raise ValueError("times_x only defined in the monomial basis")
-        return LatticePoly(MONOMIAL, (0,) + self.coeffs)
+        if self.numerators is None:
+            return LatticePoly(MONOMIAL, (0,) + self._coeffs)
+        if self.is_zero:
+            return self
+        return LatticePoly.pair(MONOMIAL, (0,) + self.numerators, self.denominator, reduced=True)
 
     def compose_affine(self, u: Scalar, v: Scalar) -> "LatticePoly":
-        """P(uX + v), by Horner's rule in the monomial basis.
-
-        When u, v and every coefficient are rational, write uX + v as
-        (U X + V)/W and the coefficients over one common denominator D, all
-        integers.  Horner's rule then runs on integer numerators, over the
-        denominator D W^m after m steps, and each output coefficient is
-        built as a `Fraction` once.  Float coefficients keep the loop on
-        scalars and its operation order.
-        """
+        """P(uX + v), by Horner's rule in the monomial basis.  An exact P
+        with rational u, v runs it on its numerators with uX + v = (UX + V)/W,
+        over D W^m after m steps; float coefficients keep the scalar loop."""
         if self.basis != MONOMIAL:
             raise ValueError("compose_affine only defined in the monomial basis")
-        if all(isinstance(c, (int, Fraction)) for c in (u, v, *self.coeffs)):
-            return self._compose_affine_rational(u, v)
+        if self.numerators is not None and isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
+            if self.is_zero:
+                return self
+            w = math.lcm(u.denominator, v.denominator)
+            big_u, big_v = u.numerator * (w // u.denominator), v.numerator * (w // v.denominator)
+            out, power = [], 1  # power = W^m after m steps
+            for c in reversed(self.numerators):
+                step = [a * big_v for a in out] + [0]
+                for k, a in enumerate(out):
+                    step[k + 1] += a * big_u
+                step[0] += c * power
+                out, power = step, power * w
+            # the last coefficient takes no step of Horner's rule
+            return LatticePoly.pair(MONOMIAL, out, self.denominator * power // w)
         out = []
         for c in reversed(self.coeffs):
             step = [0] * (len(out) + 1)
@@ -408,23 +488,6 @@ class LatticePoly:
                 step.pop()
             out = step
         return LatticePoly(MONOMIAL, out)
-
-    def _compose_affine_rational(self, u, v) -> "LatticePoly":
-        if not self.coeffs:
-            return self
-        w = math.lcm(u.denominator, v.denominator)
-        big_u, big_v = u.numerator * (w // u.denominator), v.numerator * (w // v.denominator)
-        denominator = math.lcm(*(c.denominator for c in self.coeffs))
-        out = []
-        for c in reversed(self.coeffs):
-            step = [a * big_v for a in out] + [0]
-            for k, a in enumerate(out):
-                step[k + 1] += a * big_u
-            step[0] += c.numerator * (denominator // c.denominator)
-            out = step
-            denominator *= w
-        denominator //= w  # the last coefficient takes no step of Horner's rule
-        return LatticePoly(MONOMIAL, [Fraction(a, denominator) for a in out])
 
     def evaluate(self, x: Scalar) -> Scalar:
         if self.basis != MONOMIAL:
@@ -472,13 +535,7 @@ def falling_order(k: int) -> int:
 
 def falling_mul_falling(p: LatticePoly, ctx: QContext) -> LatticePoly:
     """X p for a falling-basis p, staying in the basis, through the exact
-    rewrite X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m): O(deg).
-
-    Exact contexts sum integers: with q = u/w in lowest terms, q^m = u^m/w^m
-    and x(m) = N_m/w^(m-1), N_m = (u^m - w^m)/(u - w), so X p is an integer
-    polynomial over C w^(L-1), L = len(p) and C the lcm of the input
-    denominators; each output coefficient is one `Fraction`.  Float contexts
-    run the rewrite on scalars, in the old order."""
+    rewrite X [s]^(m) = q^m [s]^(m+1) + x(m) [s]^(m): O(deg)."""
     if p.basis != FALLING:
         raise ValueError("falling_mul_falling expects the falling basis")
     if not ctx.exact:
@@ -488,74 +545,58 @@ def falling_mul_falling(p: LatticePoly, ctx: QContext) -> LatticePoly:
             out[m + 1] += c * scope.qpow(m)
             out[m] += c * scope.x(m)
         return LatticePoly.falling(out)
-    if not p.coeffs:
-        return p
     u, w = ctx.q.numerator, ctx.q.denominator
-    numerators, scale = _over_lcm(p.coeffs)
+    return LatticePoly.pair(FALLING, _x_falling(p.numerators, u, w), p.denominator * w ** max(p.degree, 0))
+
+
+def _x_falling(numerators, u: int, w: int) -> list:
+    """X times the falling polynomial with these integer coefficients, as
+    integers over w^deg (q = u/w)."""
     top = len(numerators) - 1
-    upow, wpow = [u ** k for k in range(top + 2)], [w ** k for k in range(top + 2)]
     out = [0] * (top + 2)
     for m, c in enumerate(numerators):
         if c:
-            out[m + 1] += c * upow[m] * wpow[top - m]
-            out[m] += c * ((upow[m] - wpow[m]) // (u - w)) * wpow[top - m + 1]
-    denominator = scale * wpow[top]
-    return LatticePoly.falling([Fraction(c, denominator) for c in out])
+            out[m + 1] += c * u ** m * w ** (top - m)
+            out[m] += c * ((u ** m - w ** m) // (u - w)) * w ** (top - m + 1)
+    return out
 
 
 def falling_recurrence(p: LatticePoly, terms, ctx: QContext) -> LatticePoly:
     """X p - sum a r over the (a, r) in `terms` with a != 0, all in the
     falling basis, X p by `falling_mul_falling`.
 
-    Exact contexts take the numerators of `falling_recurrence_numerators`,
-    one `Fraction` per coefficient.  Float contexts take one sum (`dot`) per
-    coefficient over the terms that reach it, in the order given, so float
-    digits are those of the chain X p - a_1 r_1 - ...
+    Exact contexts put X p and each a r over the lcm of their denominators.
+    Float contexts take one sum (`dot`) per coefficient over the terms that
+    reach it, in the order given, so float digits are those of the chain
+    X p - a_1 r_1 - ...
     """
-    if ctx.exact:
-        numerators, denominator = falling_recurrence_numerators(p, terms, ctx)
-        return LatticePoly.falling([Fraction(c, denominator) for c in numerators])
-    top = falling_mul_falling(p, ctx).coeffs
-    terms = [(a, r.coeffs) for a, r in terms if a != 0]
-    out = []
-    for j in range(max([len(top)] + [len(r) for _, r in terms])):
-        reach = [(a, r[j]) for a, r in terms if j < len(r)]
-        start = top[j] if j < len(top) else ctx.zero()
-        out.append(dot([a for a, _ in reach], [v for _, v in reach], start, -1))
-    return LatticePoly.falling(out)
-
-
-def falling_recurrence_numerators(p: LatticePoly, terms, ctx: QContext) -> tuple:
-    """Exact contexts: X p - sum a r, as in `falling_recurrence`, returned
-    as (integer numerators, denominator).
-
-    The denominator is the lcm of those of X p (from `falling_mul_falling`)
-    and of a R_a for each term, R_a the lcm of the denominators of r; it is
-    taken once per call, and the rest is integer arithmetic.  The recurrence
-    route hands over integer polynomials, so R_a = 1 and the denominator is
-    a power of w times the lcm of the denominators of the a.
-    """
-    top = falling_mul_falling(p, ctx).coeffs
-    terms = [(a, r.coeffs, math.lcm(*(c.denominator for c in r.coeffs))) for a, r in terms if a != 0]
-    denominator = math.lcm(
-        *(c.denominator for c in top), *(a.denominator * scale for a, _, scale in terms)
-    )
-    out = [c.numerator * (denominator // c.denominator) for c in top]
-    out += [0] * (max([len(out)] + [len(r) for _, r, _ in terms]) - len(out))
-    for a, r, scale in terms:
-        factor = a.numerator * (denominator // (a.denominator * scale))
-        for j, c in enumerate(r):
+    top = falling_mul_falling(p, ctx)
+    terms = [(a, r) for a, r in terms if a != 0]
+    if not ctx.exact:
+        top, terms = top.coeffs, [(a, r.coeffs) for a, r in terms]
+        out = []
+        for j in range(max([len(top)] + [len(r) for _, r in terms])):
+            reach = [(a, r[j]) for a, r in terms if j < len(r)]
+            start = top[j] if j < len(top) else ctx.zero()
+            out.append(dot([a for a, _ in reach], [v for _, v in reach], start, -1))
+        return LatticePoly.falling(out)
+    denominator = math.lcm(top.denominator, *(a.denominator * r.denominator for a, r in terms))
+    out = [c * (denominator // top.denominator) for c in top.numerators]
+    out += [0] * (max([len(out)] + [len(r.numerators) for _, r in terms]) - len(out))
+    for a, r in terms:
+        factor = a.numerator * (denominator // (a.denominator * r.denominator))
+        for j, c in enumerate(r.numerators):
             if c:
-                out[j] -= factor * (c.numerator * (scale // c.denominator))
-    return out, denominator
+                out[j] -= factor * c
+    return LatticePoly.pair(FALLING, out, denominator)
 
 
 class MemoScope:
     """Memo tables shared by every context at one q and scalar backend.
 
     What depends on q alone: the powers q^m, the lattice values x(j) and
-    the falling-factorial polynomials [s]^(k), on an exact scope with their
-    integer rows (`falling_numerators`) beside them.  What depends on (alpha, q):
+    the falling-factorial polynomials [s]^(k), on an exact scope each the
+    pair of its integer row and u^C(k,2).  What depends on (alpha, q):
     one Gram table of unit pairings Lambda([s]^(j)[s]^(k)) per alpha
     (`gram`), on an exact scope with its integer table (`gram_numerators`)
     beside it.  `memos` holds the tables of the functions wrapped by
@@ -568,15 +609,13 @@ class MemoScope:
     """
 
     def __init__(self, q: Scalar, exact: bool):
-        self.q = q
+        self.q, self.exact = q, exact
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
         self._qpow = {}
         self._x = {}
         # [s]^(0) in the scope's scalars: a sum over a float table has a float start
         self._falling = [LatticePoly.monomial((self.one,))]
-        # exact scopes: the integer rows P_k of [s]^(k) = P_k(X)/u^C(k,2)
-        self._numerators = [[1]] if exact else None
         self._grams = {}
         # exact scopes: the integer Gram tables beside the entries of `_grams`
         self._exact_grams = {}
@@ -595,37 +634,25 @@ class MemoScope:
         return self._x[s]
 
     def falling_poly(self, k: int) -> LatticePoly:
-        """[s]^(k) in the monomial basis, each row built once.  An exact row
-        is its integer row (`falling_numerators`) over u^C(k,2), one
-        `Fraction` per coefficient; a float row is [s]^(k-1) times its last
-        factor (X - x(k-1))/q^(k-1)."""
+        """[s]^(k) in the monomial basis, each row built once from the one
+        before it by its last factor (X - x(j))/q^j = (w^j X - w N_j)/u^j.
+        An exact row is the pair (P_k, u^C(k,2)), P_(j+1) = P_j (w^j X - w N_j),
+        canonical as built since P_k leads with w^C(k,2)."""
         table = self._falling
         while len(table) <= k:
             j = len(table) - 1
-            if self._numerators is None:
+            if not self.exact:
                 shifted = LatticePoly.monomial((-self.x(j), self.one))
                 table.append((table[j] * shifted).scale(self.qpow(-j)))
-            else:
-                denominator = self.q.numerator ** binom2(j + 1)
-                row = self.falling_numerators(j + 1)
-                table.append(LatticePoly.monomial([Fraction(c, denominator) for c in row]))
-        return table[k]
-
-    def falling_numerators(self, k: int) -> list:
-        """Exact scopes: the integer coefficients P_k of [s]^(k) = P_k(X)/u^C(k,2),
-        where q = u/w in lowest terms.  Since x(j) = N_j/w^(j-1) with
-        N_j = (u^j - w^j)/(u - w), the factor (X - x(j))/q^j is
-        (w^j X - w N_j)/u^j, and P_(j+1) = P_j (w^j X - w N_j)."""
-        rows = self._numerators
-        u, w = self.q.numerator, self.q.denominator
-        while len(rows) <= k:
-            j = len(rows) - 1
+                continue
+            u, w = self.q.numerator, self.q.denominator
             lead, constant = w ** j, -w * ((u ** j - w ** j) // (u - w))
-            row = [c * constant for c in rows[j]] + [0]
-            for i, c in enumerate(rows[j]):
+            prev = table[j].numerators
+            row = [c * constant for c in prev] + [0]
+            for i, c in enumerate(prev):
                 row[i + 1] += c * lead
-            rows.append(row)
-        return rows[k]
+            table.append(LatticePoly.pair(MONOMIAL, row, u ** binom2(j + 1), reduced=True))
+        return table[k]
 
     def gram(self, alpha: Scalar) -> Callable[[int, int], Scalar]:
         """(j, k) -> Lambda([s]^(j) [s]^(k)) at weight parameter alpha.
@@ -646,7 +673,7 @@ class MemoScope:
         each entry one `Fraction` of its integer; both tables hold the keys
         the float recurrence visits.
         """
-        if self._numerators is not None:
+        if self.exact:
             return self._exact_gram(alpha).value
         table = self._grams.get(alpha)
         if table is None:
@@ -729,14 +756,19 @@ class _ExactGram:
         return table[key]
 
 
-@functools.lru_cache(maxsize=1)
 def memo_scope(q: Scalar, exact: bool) -> MemoScope:
-    """The memo scope of (q, backend); one is alive at a time.
+    """The memo scope of (q, backend); one is alive at a time, found by
+    identity or equality of q, so no q is hashed.  The backend is part of
+    the test because Fraction(0.81) == 0.81: on q alone, the exact twin of
+    a float context would get float tables.  `cache_clear()` drops it."""
+    scope = memo_scope.live
+    if scope is None or (scope.q is not q and scope.q != q) or scope.exact != exact:
+        scope = memo_scope.live = MemoScope(q, exact)
+    return scope
 
-    The backend is part of the key because Fraction(0.81) == 0.81 with the
-    same hash: keyed on q alone, the exact twin of a float context would be
-    handed float tables."""
-    return MemoScope(q, exact)
+
+memo_scope.live = None
+memo_scope.cache_clear = functools.partial(setattr, memo_scope, "live", None)
 
 
 _UNSET = object()
@@ -774,21 +806,15 @@ def to_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
     """Triangular conversion monomial -> falling.
 
     Exact contexts run Horner's rule from the top coefficient and stay in
-    the falling basis, multiplying by X through
-    X [s]^(k) = q^k [s]^(k+1) + x(k) [s]^(k), the rule of
-    `falling_mul_falling`.  With q = u/w in lowest terms, q^k = u^k/w^k
-    and x(k) = N_k/w^(k-1), so the running coefficients are integers over
-    C w^E: C is the lcm of the input denominators, and a step from degree
-    m raises E by m.  Each output coefficient is one `Fraction`, and no
-    [s]^(k) table is read.
-
-    Float contexts solve from the top, c_e = (p_e - sum_{d > e} c_d F_d[e])
+    the falling basis, multiplying by X on integers (`_x_falling`) over
+    D w^E, D the denominator of p; no [s]^(k) table is read.  Float
+    contexts solve from the top, c_e = (p_e - sum_{d > e} c_d F_d[e])
     / F_e[e] with F_d the monomial coefficients of [s]^(d), d descending.
     """
     if p.basis == FALLING:
         return p
-    n = len(p.coeffs)
     if not ctx.exact:
+        n = len(p.coeffs)
         falling = [falling_factorial_poly(d, ctx).coeffs for d in range(n)]
         out = [None] * n
         for e in range(n - 1, -1, -1):
@@ -796,58 +822,39 @@ def to_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
             rest = dot([out[d] for d in later], [falling[d][e] for d in later], p.coeffs[e], -1)
             out[e] = rest / falling[e][e] if rest != 0 else rest
         return LatticePoly.falling(out)
-    if not n:
-        return LatticePoly.falling(())
     u, w = ctx.q.numerator, ctx.q.denominator
-    upow, wpow = [u ** k for k in range(n)], [w ** k for k in range(n)]
-    lattice = [(upow[k] - wpow[k]) // (u - w) for k in range(n)]  # N_k
-    numerators, scale = _over_lcm(p.coeffs)
-    acc, exponent = [numerators[-1]], 0
-    for c in reversed(numerators[:-1]):
-        top = len(acc) - 1
-        step = [a * lattice[k] * wpow[top - k + 1] for k, a in enumerate(acc)] + [0]
-        for k, a in enumerate(acc):
-            step[k + 1] += a * upow[k] * wpow[top - k]
-        exponent += top
-        step[0] += c * w ** exponent
-        acc = step
-    denominator = scale * w ** exponent
-    return LatticePoly.falling([Fraction(a, denominator) for a in acc])
+    acc, exponent = list(p.numerators[-1:]), 0
+    for c in reversed(p.numerators[:-1]):
+        exponent += len(acc) - 1
+        acc = _x_falling(acc, u, w)
+        acc[0] += c * w ** exponent
+    return LatticePoly.pair(FALLING, acc, p.denominator * w ** exponent)
 
 
 def from_falling_basis(p: LatticePoly, ctx: QContext) -> LatticePoly:
     """Triangular conversion falling -> monomial: the coefficient of X^i is
-    sum_{d >= i} c_d F_d[i], d ascending, F_d the monomial coefficients of
-    [s]^(d) (`falling_factorial_poly`).
+    sum_{d >= i} c_d F_d[i], F_d the monomial coefficients of [s]^(d)
+    (`falling_factorial_poly`).
 
-    Exact contexts sum integers: with q = u/w in lowest terms, every
-    denominator of F_d[i] divides u^C(d,2), so each sum is an integer over
-    C u^C(n-1,2), C the lcm of the input denominators, and each output
-    coefficient is one `Fraction`.  Float contexts sum by `dot`, d ascending.
+    Exact contexts sum integers over D u^C(n-1,2), D the denominator of p,
+    since the row of [s]^(d) is the pair (P_d, u^C(d,2)).  Float contexts
+    sum by `dot`, d ascending.
     """
     if p.basis == MONOMIAL:
         return p
-    n = len(p.coeffs)
-    falling = [falling_factorial_poly(d, ctx).coeffs for d in range(n)]
+    n = p.degree + 1
+    rows = [falling_factorial_poly(d, ctx) for d in range(n)]
     if not ctx.exact:
-        zero = ctx.zero()
+        falling, zero = [row.coeffs for row in rows], ctx.zero()
         return LatticePoly.monomial(
             dot(p.coeffs[i:], [falling[d][i] for d in range(i, n)], zero) for i in range(n)
         )
-    numerators, scale = _over_lcm(p.coeffs)
     power = ctx.q.numerator ** binom2(n - 1)
-    out = []
-    for i in range(n):
-        total = 0
-        for d in range(i, n):
-            f = falling[d][i]
-            if f and numerators[d]:
-                total += numerators[d] * f.numerator * (power // f.denominator)
-        out.append(Fraction(total, scale * power))
-    return LatticePoly.monomial(out)
-
-
-def _over_lcm(coeffs) -> tuple:
-    """Rational coefficients as (integer numerators, C) over their lcm C."""
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+    out = [0] * n
+    for c, row in zip(p.numerators, rows):
+        if c:
+            factor = c * (power // row.denominator)
+            for i, f in enumerate(row.numerators):
+                if f:
+                    out[i] += factor * f
+    return LatticePoly.pair(MONOMIAL, out, p.denominator * power)

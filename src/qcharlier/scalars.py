@@ -28,11 +28,19 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(value: Scalar) -> str:
-    """Canonical string form: "p/r" in lowest terms ("/1" omitted), 17 significant
-    digits for floats."""
+    """Canonical string form: "p/r" in lowest terms ("/1" omitted) with every
+    digit, 17 significant digits for floats."""
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+        return "/".join(map(_digits, parts))
     return format(float(value), ".17g")
 
+
+def _digits(n: int) -> str:
+    """str(n), also past `sys.get_int_max_str_digits()`, which stays as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        import decimal  # only for such integers, so not imported with the package
+
+        return str(decimal.Decimal(n))

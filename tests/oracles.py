@@ -12,8 +12,9 @@ Gauss-Jordan solve of the orthogonality system.  The others are the
 slower second paths to what a package kernel computes more cheaply: the
 Gram entry by the expanded falling product and by its recurrence on
 `Fraction`s, Horner's rule on scalars, the explicit r-fold sum term by
-term, the basis conversions through a table of `Fraction` products, and
-X p and the recurrence's b term by term on scalars.  None of them is reached by a command, so they
+term, the basis conversions through a table of `Fraction` products,
+X p and the recurrence's b term by term on scalars, and the exact kernels
+one `Fraction` per coefficient, as they ran before the integer pairs.  None of them is reached by a command, so they
 live here rather than in the package.
 """
 
@@ -444,6 +445,84 @@ def classical_diffeq_residual(index, alphas):
                 term = lower_op(term, alpha)
         residual = residual + term.scale(ni)
     return list(residual.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# exact kernels one Fraction per coefficient
+# ---------------------------------------------------------------------------
+# The computations the exact kernels ran before they worked on integer
+# numerators over one denominator: each coefficient a normalized `Fraction`.
+
+def combine_by_fractions(p, r, sign):
+    """p + sign r, coefficient by coefficient."""
+    n = max(len(p.coeffs), len(r.coeffs))
+    return LatticePoly(p.basis, [p.coefficient(i) + sign * r.coefficient(i) for i in range(n)])
+
+
+def scale_by_fractions(p, c):
+    return LatticePoly(p.basis, [c * v for v in p.coeffs])
+
+
+def times_x_by_fractions(p):
+    return LatticePoly(MONOMIAL, (Fraction(0),) + p.coeffs)
+
+
+def product_by_fractions(p, r):
+    """The monomial product, one sum of `Fraction` products per coefficient."""
+    out = [Fraction(0)] * max(len(p.coeffs) + len(r.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(r.coeffs):
+            out[i + j] += a * b
+    return LatticePoly(MONOMIAL, out)
+
+
+def shift_forward_by_fractions(p, ctx):
+    """P(qX + 1) on a falling p by [s+1]^(k) = q^k [s]^(k) + x(k) [s]^(k-1)."""
+    out = [c * ctx.q ** k for k, c in enumerate(p.coeffs)]
+    for k in range(1, len(out)):
+        out[k - 1] += p.coeffs[k] * x_of(k, ctx)
+    return LatticePoly(FALLING, out)
+
+
+def nabla_by_fractions(f, ctx):
+    """The covariant backward difference as a chain of polynomial operations
+    on `Fraction` coefficients: t (P - X P((X-1)/q)/c)."""
+    moved = times_x_by_fractions(compose_affine_horner(f.poly, 1 / ctx.q, -1 / ctx.q))
+    moved = scale_by_fractions(moved, 1 / f.base)
+    newp = scale_by_fractions(combine_by_fractions(f.poly, moved, -1), ctx.t)
+    return WeightedLatticeFn(f.base / ctx.q, newp)
+
+
+def delta_cov_by_fractions(p, ctx):
+    """(P(qX+1) - P(X)) q^(1/2)/((q-1)X + 1) on a falling p, back-substituted
+    from the top on `Fraction`s; raises ArithmeticError on a remainder."""
+    work = list(combine_by_fractions(shift_forward_by_fractions(p, ctx), p, -1).coeffs)
+    if not work:
+        return LatticePoly.zero(FALLING)
+    quotient = [None] * (len(work) - 1)
+    for j in range(len(work) - 1, 0, -1):
+        step = work[j] / (ctx.q - 1)
+        quotient[j - 1] = step * ctx.q ** (1 - j)
+        work[j - 1] -= step
+    if work[0] != 0:
+        raise ArithmeticError(f"covariant difference division left remainder {work[0]}")
+    return scale_by_fractions(LatticePoly(FALLING, quotient), ctx.t)
+
+
+def raising_by_fractions(p, alpha, power, ctx):
+    """q^(power + 1/2) [alpha P(X) - X P((X-1)/q)] on a falling p."""
+    core = [alpha * c for c in p.coeffs] + [Fraction(0)]
+    for k, c in enumerate(p.coeffs):
+        core[k + 1] -= c
+    return scale_by_fractions(LatticePoly(FALLING, core), ctx.q ** power * ctx.t)
+
+
+def pairing_by_fractions(p, k, i, ctx):
+    """Lambda_i(p [s]^(k)): the falling coefficients of p (by the Fraction
+    table) against the Gram entries of the Fraction recurrence."""
+    gram = gram_by_fraction_recurrence(ctx.alphas[i], ctx.q)
+    fall = to_falling_by_table(p, ctx) if p.basis == MONOMIAL else p
+    return sum((c * gram(j, k) for j, c in enumerate(fall.coeffs)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,25 @@
 one wrote.
 
     python tests/output_digest.py > digest.jsonl
+    python tests/output_digest.py --record > tests/output_digest.json
 
 Each command runs in-process on cold memo tables, through `qcharlier.cli.main`
 of the checkout this file sits in.  One JSON line per command holds its argv,
 exit code, stdout (with the `ms` timings of `verify` masked) and stderr.  Run
 it on two revisions and diff the outputs: a change that keeps every byte of
-output keeps the digest.  The list covers the four routes in both bases for
-r = 1..3 up to (10, 10) at two values of t, `gen --q` on the float backend,
-`verify`, `limit`, `zeros` and usage errors.  pytest does not collect this
-file.
+output keeps the digest.  `--record` writes the pinned form that
+tests/test_output_digest.py compares against: argv, exit code and the
+sha256 of stdout per command.  Stderr is not pinned, since the wording of
+argparse's usage errors changes between Python versions.  The list covers
+the four routes in both bases for r = 1..3 up to (10, 10) at two values of
+t, `gen --q` on the float backend, `verify`, `limit`, `zeros` and usage
+errors.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -105,6 +110,17 @@ def run(argv):
     }
 
 
+def fingerprint(argv):
+    """The pinned form of one command's run: argv, exit code, stdout's sha256."""
+    result = run(argv)
+    digest = hashlib.sha256(result["stdout"].encode()).hexdigest()
+    return {"argv": argv, "exit": result["exit"], "stdout_sha256": digest}
+
+
 if __name__ == "__main__":
-    for argv in commands():
-        print(json.dumps(run(argv)), flush=True)
+    if sys.argv[1:] == ["--record"]:
+        rows = [json.dumps(fingerprint(argv)) for argv in commands()]
+        print("[\n" + ",\n".join(rows) + "\n]")
+    else:
+        for argv in commands():
+            print(json.dumps(run(argv)), flush=True)

@@ -58,6 +58,26 @@ def test_gen_methods_agree_byte_for_byte(capsys):
         assert all(out == outputs[0] for out in outputs), (n, basis)
 
 
+def test_gen_prints_coefficients_past_the_int_to_str_limit(capsys):
+    # at n = 30, t = 999/1000 a denominator has more digits than the
+    # interpreter converts by default (4300 on CPython 3.11+); the process
+    # limit is left alone, and the printed digits are those of the value
+    import decimal
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, _ = run_cli(capsys, "gen", "--n", "30", "--t", "999/1000", "--method", "explicit")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    coefficients = json.loads(out)["coefficients"]
+    longest = max((part for c in coefficients for part in c.split("/")), key=len)
+    assert len(longest.lstrip("-")) > 4300
+    poly = build((30,), QContext.from_t("999/1000", ["1/2"]), method="explicit_r2").poly
+    for text, value in zip(coefficients, poly.coeffs):
+        numerator, _, denominator = text.partition("/")
+        assert int(decimal.Decimal(numerator)) == value.numerator
+        assert int(decimal.Decimal(denominator or "1")) == value.denominator
+
+
 def test_gen_falling_basis(capsys):
     code, out, _ = run_cli(
         capsys, "gen", "--t", "9/10", "--alpha", "1/2", "--n", "2", "--basis", "falling"

@@ -375,15 +375,15 @@ def _gram_entries(scope):
 
 
 #: Ceilings on the math.gcd calls of one cold (10, 10) build at t = 9/10,
-#: alphas (1/2, 3/5), counted with CPython 3.11's fractions module.  With the
-#: Gram table, the moment pairing, X p and the recurrence steps on integer
-#: numerators over known denominators, and b and each d_i one `Fraction`,
-#: the counts are 1,622 (system) and 1,395 (recurrence).  With one
-#: normalization per exact sum (`qkernels.dot`) there, and the basis
-#: conversions already on integers, they were 5,684 and 12,468; converting
-#: through the table of `Fraction` rows gave 6,172 and 12,956; normalizing
-#: every term everywhere gave 19,372 and 37,361.
-GCD_CEILINGS = {"linear_system": 1_700, "recurrence": 1_450}
+#: alphas (1/2, 3/5), counted with CPython 3.11's fractions module.  With
+#: exact polynomials as canonical pairs (integer numerators over one
+#: denominator, one gcd per kernel result) the counts are 1,372 (system),
+#: 596 (recurrence), 189 (rodrigues) and 11 (explicit).  With a `Fraction`
+#: per coefficient between kernels they were 1,622, 1,395, 1,780 and 526;
+#: with one normalization per exact sum (`qkernels.dot`) and the basis
+#: conversions already on integers, system and recurrence took 5,684 and
+#: 12,468; normalizing every term everywhere gave 19,372 and 37,361.
+GCD_CEILINGS = {"linear_system": 1_400, "recurrence": 620, "rodrigues": 200, "explicit_r2": 15}
 
 
 @pytest.mark.parametrize("method", sorted(GCD_CEILINGS))

@@ -62,6 +62,15 @@ TEST_SIDE = [
     "stepline_coeffs_by_peel",
     "diff_eq_residual_single_family",
     "classical_diffeq_residual",
+    "combine_by_fractions",
+    "scale_by_fractions",
+    "times_x_by_fractions",
+    "product_by_fractions",
+    "shift_forward_by_fractions",
+    "nabla_by_fractions",
+    "delta_cov_by_fractions",
+    "raising_by_fractions",
+    "pairing_by_fractions",
 ]
 
 
@@ -111,4 +120,9 @@ def test_kernels_keep_one_copy_of_each_job():
     # off the type of its start, with no per-term type probe
     assert not hasattr(qkernels, "_falling_factor")
     assert not hasattr(qkernels, "_RATIONAL")
+    # an exact polynomial is one pair, which every kernel reads and returns:
+    # no kernel hands numerators over on the side, and [s]^(k) has one row
+    for name in ("falling_recurrence_numerators", "_over_lcm"):
+        assert not hasattr(qkernels, name)
+    assert not hasattr(MemoScope, "falling_numerators")
     assert list(inspect.signature(qkernels.falling_mul_falling).parameters) == ["p", "ctx"]

@@ -43,7 +43,6 @@ from qcharlier.qkernels import (
     falling_factorial_poly,
     falling_mul_falling,
     falling_recurrence,
-    falling_recurrence_numerators,
     from_falling_basis,
     memo_scope,
     to_falling_basis,
@@ -377,12 +376,13 @@ def test_exact_integer_rows_carry_the_denominator_u_to_the_binomial(clear_caches
     clear_caches()
     for t in ("9/10", "4/3"):
         ctx = QContext.from_t(t, ["1/2"])
-        scope = memo_scope(ctx.q, ctx.exact)
         for k in range(12):
             denominator = ctx.q.numerator ** binom2(k)
-            row = falling_factorial_poly(k, ctx).coeffs
+            poly = falling_factorial_poly(k, ctx)
+            row = poly.coeffs
             assert math.lcm(*(c.denominator for c in row)) == denominator
-            assert scope.falling_numerators(k) == [c * denominator for c in row]
+            assert poly.denominator == denominator
+            assert poly.numerators == tuple(c * denominator for c in row)
 
 
 def test_exact_to_falling_basis_reads_no_table(clear_caches, monkeypatch):
@@ -397,7 +397,6 @@ def test_exact_to_falling_basis_reads_no_table(clear_caches, monkeypatch):
     clear_caches()
     monkeypatch.setattr(qkernels, "falling_factorial_poly", no_table)
     monkeypatch.setattr(MemoScope, "falling_poly", no_table)
-    monkeypatch.setattr(MemoScope, "falling_numerators", no_table)
     assert to_falling_basis(poly, ctx) == expected
 
 
@@ -628,18 +627,18 @@ def test_falling_recurrence_equals_the_chained_expression_on_rationals(case):
 
 @settings(max_examples=100, deadline=None)
 @given(CONVERSION_QS, _falling_case(EXACT))
-def test_recurrence_numerators_equal_the_chained_expression_by_scalars(q, case):
+def test_exact_falling_recurrence_equals_the_chained_expression_by_scalars(q, case):
     # integers over one denominator, against X p by the scalar rewrite and
     # one `scale` and `-` per term
     p, terms = case
     memo_scope.cache_clear()
     ctx = QContext(t=Fraction(1), q=q, alphas=(Fraction(1, 2),), exact=True)
-    numerators, denominator = falling_recurrence_numerators(p, terms, ctx)
-    assert all(type(c) is int for c in numerators)
+    got = falling_recurrence(p, terms, ctx)
+    assert all(type(c) is int for c in got.numerators)
     expected = falling_mul_by_scalars(p, ctx)
     for a, r in terms:
         expected = expected - r.scale(a)
-    assert LatticePoly.falling([Fraction(c, denominator) for c in numerators]) == expected
+    assert got == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -660,6 +659,25 @@ def test_falling_recurrence_edge_cases(ctx2):
     assert got.coeffs[3:] == (0, Fraction(10, 7))
     assert got == _chained_recurrence(p, [(Fraction(-2), longer)], ctx2)
     assert falling_recurrence(LatticePoly.zero(FALLING), [(1, p)], ctx2) == p.scale(-1)
+
+
+def test_memo_scope_finds_the_live_scope_without_hashing_q(clear_caches):
+    # a `Fraction` caches no hash, so the live scope is found by identity
+    # (or equality) of q and the backend, not by a hashed lookup
+    class Unhashable(Fraction):
+        def __hash__(self):
+            raise AssertionError("q was hashed")
+
+    clear_caches()
+    q = Unhashable(81, 100)
+    scope = memo_scope(q, True)
+    assert memo_scope(q, True) is scope
+    assert memo_scope(Fraction(81, 100), True) is scope
+    # the float twin with an equal q gets float tables
+    float_scope = memo_scope(0.81, False)
+    assert float_scope is not scope and float_scope.zero == 0.0 and type(float_scope.zero) is float
+    memo_scope.cache_clear()
+    assert memo_scope(0.81, False) is not float_scope
 
 
 def test_one_memo_scope_alive(clear_caches):
